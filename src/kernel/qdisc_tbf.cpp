@@ -82,6 +82,7 @@ void TbfQdisc::try_release() {
     wake_.cancel();
     return;
   }
+  if (config_.rate.bps() <= 0) return;  // a zero-rate bucket never refills
   // Sleep until the bucket covers the head packet.
   const double head_bytes =
       slab_ != nullptr

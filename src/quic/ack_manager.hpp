@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "quic/frames.hpp"
@@ -37,8 +38,11 @@ class AckManager {
   bool has_pending() const { return pending_ack_eliciting_ > 0; }
   std::uint64_t largest_received() const { return received_.largest(); }
 
-  /// Builds the ACK payload and clears the pending state.
-  std::shared_ptr<const net::TransportAck> build_ack(sim::Time now);
+  /// Builds the ACK payload (carrying the MAX_DATA grant `max_data`, 0 =
+  /// none) and clears the pending state. Frames are recycled: the oldest
+  /// pooled frame is rewritten once no packet holds it any more.
+  std::shared_ptr<const net::TransportAck> build_ack(
+      sim::Time now, std::int64_t max_data = 0);
 
   const Config& config() const { return config_; }
 
@@ -48,6 +52,9 @@ class AckManager {
   int pending_ack_eliciting_ = 0;
   sim::Time largest_recv_time_;
   sim::Time first_pending_time_ = sim::Time::infinite();
+  /// Recycled frames as a FIFO ring; frames_[next_frame_] is the oldest.
+  std::vector<std::shared_ptr<net::TransportAck>> frames_;
+  std::size_t next_frame_ = 0;
 };
 
 }  // namespace quicsteps::quic

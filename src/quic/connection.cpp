@@ -116,7 +116,7 @@ void Connection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
     peer_max_data_ = std::max(peer_max_data_, ack.max_data);
   }
 
-  auto result = sent_.on_ack_blocks(ack.blocks);
+  const auto& result = sent_.on_ack_blocks(ack.blocks);
   if (result.newly_acked.empty()) {
     return;  // pure duplicate
   }

@@ -1,63 +1,62 @@
 #include "quic/frames.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace quicsteps::quic {
 
 bool PacketNumberSet::insert(std::uint64_t pn) {
-  if (contains(pn)) return false;
-
-  // Find potential neighbors to merge with.
-  auto right = intervals_.lower_bound(pn);  // first interval starting > pn-?
-  bool merge_left = false, merge_right = false;
-  auto left = intervals_.end();
-  if (right != intervals_.begin()) {
-    left = std::prev(right);
-    if (left->second + 1 == pn) merge_left = true;
+  // In-order fast path: pn at or past the end of the newest interval.
+  if (intervals_.empty() || pn > intervals_.back().last + 1) {
+    intervals_.push_back(net::AckBlock{pn, pn});
+    return true;
   }
-  if (right != intervals_.end() && pn + 1 == right->first) merge_right = true;
+  if (pn == intervals_.back().last + 1) {
+    intervals_.back().last = pn;
+    return true;
+  }
 
+  // First interval starting after pn; its predecessor may hold pn.
+  auto right = std::upper_bound(
+      intervals_.begin(), intervals_.end(), pn,
+      [](std::uint64_t key, const net::AckBlock& b) { return key < b.first; });
+  const bool has_left = right != intervals_.begin();
+  if (has_left && pn <= std::prev(right)->last) return false;  // duplicate
+
+  const bool merge_left = has_left && std::prev(right)->last + 1 == pn;
+  const bool merge_right = right != intervals_.end() && pn + 1 == right->first;
   if (merge_left && merge_right) {
-    left->second = right->second;
+    std::prev(right)->last = right->last;
     intervals_.erase(right);
   } else if (merge_left) {
-    left->second = pn;
+    std::prev(right)->last = pn;
   } else if (merge_right) {
-    const std::uint64_t end = right->second;
-    intervals_.erase(right);
-    intervals_.emplace(pn, end);
+    right->first = pn;
   } else {
-    intervals_.emplace(pn, pn);
+    intervals_.insert(right, net::AckBlock{pn, pn});
   }
   return true;
 }
 
 bool PacketNumberSet::contains(std::uint64_t pn) const {
-  auto it = intervals_.upper_bound(pn);
-  if (it == intervals_.begin()) return false;
-  --it;
-  return pn >= it->first && pn <= it->second;
+  auto it = std::upper_bound(
+      intervals_.begin(), intervals_.end(), pn,
+      [](std::uint64_t key, const net::AckBlock& b) { return key < b.first; });
+  return it != intervals_.begin() && pn <= std::prev(it)->last;
 }
 
-std::uint64_t PacketNumberSet::largest() const {
-  if (intervals_.empty()) return 0;
-  return std::prev(intervals_.end())->second;
-}
-
-std::vector<net::AckBlock> PacketNumberSet::to_ack_blocks(
-    std::size_t max_blocks) const {
-  std::vector<net::AckBlock> blocks;
-  if (intervals_.empty() || max_blocks == 0) return blocks;
+void PacketNumberSet::to_ack_blocks(std::size_t max_blocks,
+                                    std::vector<net::AckBlock>* out) const {
+  out->clear();
+  if (intervals_.empty() || max_blocks == 0) return;
   // Newest ranges first; the OLDEST interval always rides along (it is the
   // cumulative ACK for the TCP model and cheap insurance for QUIC).
-  const auto oldest = intervals_.begin();
   for (auto it = intervals_.rbegin();
-       it != intervals_.rend() && blocks.size() + 1 < max_blocks; ++it) {
-    if (it->first == oldest->first) break;
-    blocks.push_back(net::AckBlock{it->first, it->second});
+       it != std::prev(intervals_.rend()) && out->size() + 1 < max_blocks;
+       ++it) {
+    out->push_back(*it);
   }
-  blocks.push_back(net::AckBlock{oldest->first, oldest->second});
-  return blocks;
+  out->push_back(intervals_.front());
 }
 
 std::int64_t ByteIntervalSet::add(std::int64_t offset, std::int64_t length) {

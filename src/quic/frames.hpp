@@ -23,8 +23,9 @@ inline constexpr std::int64_t kPayloadPerDatagram = 1402;
 /// Wire size of a pure ACK datagram.
 inline constexpr std::int64_t kAckPacketSize = 60;
 
-/// Ordered set of received packet numbers, kept as disjoint inclusive
-/// intervals (the receiver state behind QUIC ACK ranges).
+/// Ordered set of received packet numbers, kept as a pn-ascending vector of
+/// disjoint, non-adjacent inclusive intervals (the receiver state behind
+/// QUIC ACK ranges). In-order arrival extends the last interval in place.
 class PacketNumberSet {
  public:
   /// Inserts pn; returns false if it was already present (duplicate).
@@ -32,17 +33,19 @@ class PacketNumberSet {
   bool contains(std::uint64_t pn) const;
 
   /// Highest received packet number (0 if empty — check empty() first).
-  std::uint64_t largest() const;
+  std::uint64_t largest() const {
+    return intervals_.empty() ? 0 : intervals_.back().last;
+  }
   bool empty() const { return intervals_.empty(); }
   std::size_t interval_count() const { return intervals_.size(); }
 
-  /// Renders the newest-first ACK blocks, at most `max_blocks`.
-  std::vector<net::AckBlock> to_ack_blocks(std::size_t max_blocks) const;
+  /// Writes the newest-first ACK blocks, at most `max_blocks`, into `*out`
+  /// (cleared first; a caller that reserves `max_blocks` never reallocates).
+  void to_ack_blocks(std::size_t max_blocks,
+                     std::vector<net::AckBlock>* out) const;
 
  private:
-  // key = interval start, value = interval end (inclusive); disjoint and
-  // non-adjacent.
-  std::map<std::uint64_t, std::uint64_t> intervals_;
+  std::vector<net::AckBlock> intervals_;
 };
 
 /// Ordered set of received byte ranges (stream reassembly bookkeeping on

@@ -1,7 +1,5 @@
 #include "quic/loss_detection.hpp"
 
-#include <algorithm>
-
 namespace quicsteps::quic {
 
 sim::Duration LossDetection::loss_delay(const RttEstimator& rtt) const {
@@ -18,20 +16,18 @@ LossDetection::Result LossDetection::detect(SentPacketMap& map,
   const sim::Duration delay = loss_delay(rtt);
   const sim::Time lost_send_time = now - delay;
 
-  std::vector<std::uint64_t> to_remove;
-  map.for_each_below(largest_acked, [&](const SentPacket& pkt) {
-    if (largest_acked >= pkt.pn + config_.packet_threshold ||
-        pkt.time_sent <= lost_send_time) {
-      to_remove.push_back(pkt.pn);
-    } else {
-      result.next_loss_time =
-          sim::min(result.next_loss_time, pkt.time_sent + delay);
-    }
-  });
-  for (std::uint64_t pn : to_remove) {
-    SentPacket pkt;
-    if (map.take(pn, &pkt)) result.lost.push_back(std::move(pkt));
-  }
+  map.remove_below_if(
+      largest_acked,
+      [&](const SentPacket& pkt) {
+        if (largest_acked >= pkt.pn + config_.packet_threshold ||
+            pkt.time_sent <= lost_send_time) {
+          return true;
+        }
+        result.next_loss_time =
+            sim::min(result.next_loss_time, pkt.time_sent + delay);
+        return false;
+      },
+      &result.lost);
 
   // Persistent congestion: the span of consecutive losses exceeds
   // persistent_congestion_threshold * PTO (RFC 9002 §7.6), only meaningful

@@ -34,7 +34,7 @@ class LossDetection {
   explicit LossDetection(Config config) : config_(config) {}
 
   /// Scans `map` for packets now considered lost given `largest_acked`.
-  /// Lost packets are REMOVED from the map.
+  /// Lost packets are REMOVED from the map during the scan.
   Result detect(SentPacketMap& map, std::uint64_t largest_acked,
                 const RttEstimator& rtt, sim::Time now) const;
 

@@ -25,6 +25,17 @@ constexpr std::int64_t saturating_add_ns(std::int64_t a, std::int64_t b) {
   if (b < 0 && a < kMin - b) return kMin;
   return a + b;
 }
+
+/// Truncates a double nanosecond count to int64, saturating at
+/// +/-INT64_MAX (the +/-infinite sentinels) instead of overflowing the
+/// cast; NaN maps to +INT64_MAX.
+constexpr std::int64_t saturating_ns(double ns) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  if (ns >= kLimit || ns != ns) return kMax;
+  if (ns <= -kLimit) return -kMax;
+  return static_cast<std::int64_t>(ns);
+}
 }  // namespace detail
 
 /// A span of simulated time. Nanosecond resolution, may be negative.
@@ -42,9 +53,10 @@ class Duration {
   static constexpr Duration seconds(std::int64_t s) {
     return Duration(s * 1'000'000'000);
   }
-  /// Fractional seconds, rounded to the nearest nanosecond.
+  /// Fractional seconds, rounded to the nearest nanosecond. Spans beyond
+  /// the int64 range (and NaN) saturate to +/-infinite().
   static constexpr Duration seconds_f(double s) {
-    return Duration(static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5)));
+    return Duration(detail::saturating_ns(s * 1e9 + (s >= 0 ? 0.5 : -0.5)));
   }
   static constexpr Duration zero() { return Duration(0); }
   static constexpr Duration infinite() {
@@ -70,9 +82,10 @@ class Duration {
   constexpr Duration operator-(Duration o) const { return Duration(ns_ - o.ns_); }
   constexpr Duration operator-() const { return Duration(-ns_); }
   /// Scaling: one overload only (int promotes to double; the mantissa
-  /// covers every plausible simulated duration exactly).
+  /// covers every plausible simulated duration exactly). Saturates like
+  /// seconds_f, so an exponential backoff tops out at infinite().
   constexpr Duration operator*(double k) const {
-    return Duration(static_cast<std::int64_t>(static_cast<double>(ns_) * k));
+    return Duration(detail::saturating_ns(static_cast<double>(ns_) * k));
   }
   constexpr Duration operator/(std::int64_t k) const { return Duration(ns_ / k); }
   constexpr double operator/(Duration o) const {

@@ -303,6 +303,21 @@ TEST_F(QdiscTest, TbfBurstAllowsBackToBack) {
   EXPECT_EQ(sink.packets().size(), 10u);  // all released synchronously
 }
 
+TEST_F(QdiscTest, TbfZeroRateHoldsBacklogWithoutAWakeup) {
+  // A zero-rate bucket never refills: the initial full bucket lets one
+  // packet out and the rest stay queued. Sizing the refill wait used to
+  // cast an infinite wait to int64 (UB).
+  TbfQdisc tbf(loop,
+               {.rate = DataRate::megabits_per_second(0),
+                .burst_bytes = 1500,
+                .limit_bytes = 1'000'000},
+               &sink);
+  for (int i = 0; i < 3; ++i) tbf.deliver(make_packet(i));
+  loop.run();
+  EXPECT_EQ(sink.packets().size(), 1u);
+  EXPECT_EQ(tbf.counters().packets_queued(), 2);
+}
+
 TEST_F(QdiscTest, NetemDelaysByConfiguredAmount) {
   NetemQdisc netem(loop, {.delay = 20_ms}, sim::Rng(2), &sink);
   netem.deliver(make_packet(1));

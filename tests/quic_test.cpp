@@ -1,8 +1,14 @@
 // Unit + integration tests for the QUIC transport: interval sets, RTT
-// estimation, the ACK manager's delayed-ACK policy, loss detection
-// thresholds, connection send/ack/retransmit flow, and an end-to-end
-// transfer over a lossy bottleneck using the reference server.
+// estimation, the ACK manager's delayed-ACK policy and frame recycling,
+// loss detection thresholds, the sent-packet map's contract (with a
+// differential run against an ordered-map model), connection
+// send/ack/retransmit flow, and an end-to-end transfer over a lossy
+// bottleneck using the reference server.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <vector>
 
 #include "net/link.hpp"
 #include "quic/ack_manager.hpp"
@@ -12,6 +18,7 @@
 #include "quic/loss_detection.hpp"
 #include "quic/rtt_estimator.hpp"
 #include "quic/server.hpp"
+#include "sim/random.hpp"
 
 namespace quicsteps::quic {
 namespace {
@@ -43,7 +50,8 @@ TEST(PacketNumberSet, MergesAdjacentAndDetectsDuplicates) {
 TEST(PacketNumberSet, AckBlocksNewestFirst) {
   PacketNumberSet set;
   for (std::uint64_t pn : {1, 2, 3, 7, 8, 10}) set.insert(pn);
-  auto blocks = set.to_ack_blocks(8);
+  std::vector<AckBlock> blocks;
+  set.to_ack_blocks(8, &blocks);
   ASSERT_EQ(blocks.size(), 3u);
   EXPECT_EQ(blocks[0].first, 10u);
   EXPECT_EQ(blocks[0].last, 10u);
@@ -56,9 +64,38 @@ TEST(PacketNumberSet, AckBlocksNewestFirst) {
 TEST(PacketNumberSet, BlockLimitKeepsNewest) {
   PacketNumberSet set;
   for (std::uint64_t pn = 0; pn < 20; pn += 2) set.insert(pn);
-  auto blocks = set.to_ack_blocks(3);
+  std::vector<AckBlock> blocks;
+  set.to_ack_blocks(3, &blocks);
   ASSERT_EQ(blocks.size(), 3u);
   EXPECT_EQ(blocks[0].last, 18u);
+}
+
+TEST(PacketNumberSet, OutOfOrderInsertMergesLeftRightAndBoth) {
+  PacketNumberSet set;
+  for (std::uint64_t pn : {1, 5, 10}) EXPECT_TRUE(set.insert(pn));
+  EXPECT_EQ(set.interval_count(), 3u);
+  EXPECT_TRUE(set.insert(2));  // extends [1,1] rightwards: merge left
+  EXPECT_EQ(set.interval_count(), 3u);
+  EXPECT_TRUE(set.insert(4));  // extends [5,5] leftwards: merge right
+  EXPECT_EQ(set.interval_count(), 3u);
+  EXPECT_TRUE(set.insert(3));  // bridges [1,2] and [4,5]
+  EXPECT_EQ(set.interval_count(), 2u);
+  EXPECT_TRUE(set.insert(7));  // isolated, between two intervals
+  EXPECT_EQ(set.interval_count(), 3u);
+  for (std::uint64_t pn : {1, 3, 5, 7, 10}) EXPECT_FALSE(set.insert(pn));
+  EXPECT_FALSE(set.contains(6));
+  EXPECT_EQ(set.largest(), 10u);
+
+  std::vector<AckBlock> blocks;
+  blocks.reserve(8);
+  const AckBlock* storage = blocks.data();
+  set.to_ack_blocks(8, &blocks);
+  ASSERT_EQ(blocks.size(), 3u);
+  EXPECT_EQ(blocks[0].first, 10u);
+  EXPECT_EQ(blocks[1].first, 7u);
+  EXPECT_EQ(blocks[2].first, 1u);
+  EXPECT_EQ(blocks[2].last, 5u);
+  EXPECT_EQ(blocks.data(), storage);  // written in place, no regrowth
 }
 
 TEST(ByteIntervalSet, CountsNewBytesOnly) {
@@ -153,6 +190,41 @@ TEST(AckManager, DuplicateDoesNotRetrigger) {
   EXPECT_FALSE(mgr.ack_due_now());
 }
 
+TEST(AckManager, HeldFrameIsNeverRewritten) {
+  AckManager mgr;
+  mgr.on_packet_received(1, true, Time::zero() + 1_ms);
+  mgr.on_packet_received(2, true, Time::zero() + 2_ms);
+  auto held = mgr.build_ack(Time::zero() + 3_ms, 5000);
+  for (std::uint64_t pn = 4; pn < 40; ++pn) {
+    mgr.on_packet_received(pn, true, Time::zero() + Duration::millis(pn));
+    auto later = mgr.build_ack(Time::zero() + Duration::millis(pn));
+    EXPECT_NE(later.get(), held.get());
+    EXPECT_EQ(later->largest(), pn);
+    EXPECT_EQ(later->max_data, 0);
+  }
+  ASSERT_EQ(held->blocks.size(), 1u);
+  EXPECT_EQ(held->blocks[0].first, 1u);
+  EXPECT_EQ(held->blocks[0].last, 2u);
+  EXPECT_EQ(held->ack_delay, 1_ms);
+  EXPECT_EQ(held->max_data, 5000);
+}
+
+TEST(AckManager, ReleasedFrameIsReused) {
+  AckManager mgr;
+  mgr.on_packet_received(1, true, Time::zero() + 1_ms);
+  auto first = mgr.build_ack(Time::zero() + 1_ms, 5000);
+  const TransportAck* storage = first.get();
+  first.reset();  // the packet carrying it was delivered
+  mgr.on_packet_received(3, true, Time::zero() + 2_ms);
+  auto second = mgr.build_ack(Time::zero() + 4_ms);
+  EXPECT_EQ(second.get(), storage);
+  ASSERT_EQ(second->blocks.size(), 2u);
+  EXPECT_EQ(second->blocks[0].first, 3u);
+  EXPECT_EQ(second->blocks[1].last, 1u);
+  EXPECT_EQ(second->ack_delay, 2_ms);
+  EXPECT_EQ(second->max_data, 0);  // the old grant does not leak through
+}
+
 // ---------------------------------------------------------- LossDetection
 
 SentPacket sent_pkt(std::uint64_t pn, Time at) {
@@ -227,6 +299,200 @@ TEST(LossDetectionTest, PtoBacksOffExponentially) {
   const Time pto0 = ld.pto_deadline(map, rtt, 0);
   const Time pto2 = ld.pto_deadline(map, rtt, 2);
   EXPECT_EQ((pto2 - Time::zero()).ns(), 4 * (pto0 - Time::zero()).ns());
+}
+
+TEST(LossDetectionTest, PtoBackoffSaturatesAtInfinite) {
+  // A dead path keeps backing off; doubling past int64 must end at
+  // "never", not overflow (a zero-rate bottleneck reached this).
+  SentPacketMap map;
+  map.add(sent_pkt(1, Time::zero()));
+  RttEstimator rtt;
+  rtt.update(40_ms, Duration::zero(), 25_ms);
+  LossDetection ld;
+  EXPECT_FALSE(ld.pto_deadline(map, rtt, 30).is_infinite());
+  EXPECT_TRUE(ld.pto_deadline(map, rtt, 80).is_infinite());
+}
+
+// ---------------------------------------------------------- SentPacketMap
+
+std::vector<std::uint64_t> pns_of(const std::vector<SentPacket>& pkts) {
+  std::vector<std::uint64_t> pns;
+  for (const auto& p : pkts) pns.push_back(p.pn);
+  return pns;
+}
+
+SentPacketMap map_with(std::uint64_t first, std::uint64_t last) {
+  SentPacketMap map;
+  for (std::uint64_t pn = first; pn <= last; ++pn) {
+    map.add(sent_pkt(pn, Time::zero() + Duration::millis(pn)));
+  }
+  return map;
+}
+
+TEST(SentPacketMap, NewestFirstBlocksGiveAscendingNewlyAcked) {
+  SentPacketMap map = map_with(1, 10);
+  const auto& result = map.on_ack_blocks({{9, 10}, {5, 6}, {1, 2}});
+  EXPECT_EQ(pns_of(result.newly_acked),
+            (std::vector<std::uint64_t>{1, 2, 5, 6, 9, 10}));
+  EXPECT_EQ(result.acked_bytes, 6 * kDatagramSize);
+  EXPECT_EQ(map.size(), 4u);
+  EXPECT_EQ(map.bytes_in_flight(), 4 * kDatagramSize);
+}
+
+TEST(SentPacketMap, UnsortedOrOverlappingBlocksStillAscending) {
+  SentPacketMap map = map_with(1, 20);
+  EXPECT_EQ(pns_of(map.on_ack_blocks({{1, 2}, {9, 10}, {5, 6}}).newly_acked),
+            (std::vector<std::uint64_t>{1, 2, 5, 6, 9, 10}));
+  EXPECT_EQ(
+      pns_of(map.on_ack_blocks({{12, 16}, {3, 4}, {14, 18}, {7, 13}})
+                 .newly_acked),
+      (std::vector<std::uint64_t>{3, 4, 7, 8, 11, 12, 13, 14, 15, 16, 17, 18}));
+  EXPECT_EQ(map.size(), 2u);
+}
+
+TEST(SentPacketMap, DuplicateAckReturnsEmptyAndKeepsBytesInFlight) {
+  SentPacketMap map = map_with(1, 6);
+  EXPECT_EQ(map.on_ack_blocks({{3, 4}, {1, 1}}).newly_acked.size(), 3u);
+  const std::int64_t in_flight = map.bytes_in_flight();
+  const auto& dup = map.on_ack_blocks({{3, 4}, {1, 1}});
+  EXPECT_TRUE(dup.newly_acked.empty());
+  EXPECT_EQ(dup.acked_bytes, 0);
+  EXPECT_EQ(map.bytes_in_flight(), in_flight);
+  EXPECT_EQ(map.size(), 3u);
+}
+
+TEST(SentPacketMap, FindAndTakeFailForAckedOrLostPn) {
+  SentPacketMap map = map_with(1, 6);
+  map.on_ack_blocks({{2, 2}});
+  std::vector<SentPacket> lost;
+  map.remove_below_if(
+      4, [](const SentPacket& p) { return p.pn == 1; }, &lost);
+  ASSERT_EQ(lost.size(), 1u);
+  SentPacket out;
+  for (std::uint64_t pn : {1, 2, 99}) {
+    EXPECT_EQ(map.find(pn), nullptr) << pn;
+    EXPECT_FALSE(map.take(pn, &out)) << pn;
+  }
+  ASSERT_NE(map.find(3), nullptr);
+  EXPECT_TRUE(map.take(3, &out));
+  EXPECT_EQ(out.pn, 3u);
+  EXPECT_EQ(map.find(3), nullptr);
+  EXPECT_EQ(map.size(), 3u);
+  EXPECT_EQ(map.bytes_in_flight(), 3 * kDatagramSize);
+}
+
+TEST(SentPacketMap, OldestFollowsTheHead) {
+  SentPacketMap map = map_with(1, 5);
+  map.on_ack_blocks({{1, 1}});
+  ASSERT_NE(map.oldest(), nullptr);
+  EXPECT_EQ(map.oldest()->pn, 2u);
+  map.on_ack_blocks({{5, 5}, {2, 3}});
+  EXPECT_EQ(map.oldest()->pn, 4u);
+  map.on_ack_blocks({{4, 4}});
+  EXPECT_EQ(map.oldest(), nullptr);
+  EXPECT_TRUE(map.empty());
+  map.add(sent_pkt(6, Time::zero()));
+  ASSERT_NE(map.oldest(), nullptr);
+  EXPECT_EQ(map.oldest()->pn, 6u);
+}
+
+// Differential run against a std::map model of the same contract: random
+// adds (with pn gaps), canonical and scrambled ACKs, takes and loss scans.
+TEST(SentPacketMap, MatchesAnOrderedMapModel) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    sim::Rng rng(seed);
+    SentPacketMap map;
+    std::map<std::uint64_t, SentPacket> model;
+    std::int64_t model_in_flight = 0;
+    std::uint64_t next_pn = 0;
+    auto model_remove = [&](std::map<std::uint64_t, SentPacket>::iterator it) {
+      if (it->second.in_flight) model_in_flight -= it->second.bytes;
+      return model.erase(it);
+    };
+    auto random_pn = [&] {
+      return static_cast<std::uint64_t>(
+          rng.uniform(0, static_cast<std::int64_t>(next_pn) + 2));
+    };
+    for (int op = 0; op < 10'000; ++op) {
+      const std::int64_t kind = rng.uniform(0, 9);
+      if (kind < 4) {  // add
+        next_pn += static_cast<std::uint64_t>(rng.uniform(1, 3));
+        SentPacket p = sent_pkt(next_pn, Time::zero() + Duration::micros(op));
+        p.bytes = rng.uniform(60, 1500);
+        p.in_flight = rng.chance(0.9);
+        map.add(p);
+        if (p.in_flight) model_in_flight += p.bytes;
+        model.emplace(p.pn, p);
+      } else if (kind < 7) {  // ACK: newest-first, or scrambled/overlapping
+        std::vector<AckBlock> blocks;
+        const std::int64_t n = rng.uniform(1, 4);
+        for (std::int64_t b = 0; b < n; ++b) {
+          const std::uint64_t first = random_pn();
+          blocks.push_back(
+              {first, first + static_cast<std::uint64_t>(rng.uniform(0, 6))});
+        }
+        if (rng.chance(0.5)) {
+          std::sort(blocks.begin(), blocks.end(),
+                    [](const AckBlock& a, const AckBlock& b) {
+                      return a.first > b.first;
+                    });
+        }
+        std::vector<std::uint64_t> expect;
+        std::int64_t expect_bytes = 0;
+        for (auto it = model.begin(); it != model.end();) {
+          const bool covered = std::any_of(
+              blocks.begin(), blocks.end(), [&](const AckBlock& b) {
+                return it->first >= b.first && it->first <= b.last;
+              });
+          if (!covered) {
+            ++it;
+            continue;
+          }
+          expect.push_back(it->first);
+          expect_bytes += it->second.bytes;
+          it = model_remove(it);
+        }
+        const auto& result = map.on_ack_blocks(blocks);
+        ASSERT_EQ(pns_of(result.newly_acked), expect) << seed << "/" << op;
+        ASSERT_EQ(result.acked_bytes, expect_bytes) << seed << "/" << op;
+      } else if (kind < 9) {  // take one pn
+        const std::uint64_t pn = random_pn();
+        SentPacket out;
+        const bool found = map.take(pn, &out);
+        auto it = model.find(pn);
+        ASSERT_EQ(found, it != model.end()) << seed << "/" << op;
+        if (found) {
+          ASSERT_EQ(out.bytes, it->second.bytes);
+          model_remove(it);
+        }
+      } else {  // loss scan below a bound
+        const std::uint64_t bound = random_pn();
+        const std::uint64_t stride =
+            static_cast<std::uint64_t>(rng.uniform(1, 4));
+        auto lost_pred = [&](const SentPacket& p) { return p.pn % stride == 0; };
+        std::vector<SentPacket> lost;
+        map.remove_below_if(bound, lost_pred, &lost);
+        std::vector<std::uint64_t> expect;
+        for (auto it = model.begin(); it != model.end() && it->first < bound;) {
+          if (!lost_pred(it->second)) {
+            ++it;
+            continue;
+          }
+          expect.push_back(it->first);
+          it = model_remove(it);
+        }
+        ASSERT_EQ(pns_of(lost), expect) << seed << "/" << op;
+      }
+      ASSERT_EQ(map.size(), model.size()) << seed << "/" << op;
+      ASSERT_EQ(map.bytes_in_flight(), model_in_flight) << seed << "/" << op;
+      ASSERT_EQ(map.oldest() == nullptr, model.empty());
+      if (!model.empty()) {
+        ASSERT_EQ(map.oldest()->pn, model.begin()->first);
+      }
+      const std::uint64_t probe = random_pn();
+      ASSERT_EQ(map.find(probe) != nullptr, model.count(probe) == 1);
+    }
+  }
 }
 
 // -------------------------------------------------------------- Connection

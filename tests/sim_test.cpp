@@ -2,6 +2,7 @@
 // cancellation, and deterministic randomness.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -55,6 +56,30 @@ TEST(Time, InfiniteSentinelSaturatesInsteadOfWrapping) {
   Time u = Time::zero();
   u += 7_ms;
   EXPECT_EQ((u - Time::zero()).ms(), 7);
+}
+
+TEST(Time, DoubleConversionsSaturateOutOfRange) {
+  // Regression: seconds_f(inf) cast inf to int64 (UB), e.g. a run deadline
+  // computed for a zero bottleneck rate. Out-of-range spans and NaN now
+  // saturate to the sentinels.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(Duration::seconds_f(inf).is_infinite());
+  EXPECT_TRUE(Duration::seconds_f(1e300).is_infinite());
+  EXPECT_TRUE(Duration::seconds_f(9.3e9).is_infinite());  // > INT64_MAX ns
+  EXPECT_TRUE(
+      Duration::seconds_f(std::numeric_limits<double>::quiet_NaN())
+          .is_infinite());
+  EXPECT_EQ(Duration::seconds_f(-inf), -Duration::infinite());
+  EXPECT_EQ(Duration::seconds_f(-1e300), -Duration::infinite());
+  // The largest spans that fit still convert.
+  EXPECT_EQ(Duration::seconds_f(9.2e9).ns(), 9'200'000'000'000'000'000);
+  EXPECT_EQ(Duration::seconds_f(-9.2e9).ns(), -9'200'000'000'000'000'000);
+  EXPECT_EQ(Duration::seconds_f(-0.25).ns(), -250'000'000);
+  // Scaling saturates the same way (a PTO backoff doubling past int64).
+  EXPECT_TRUE((Duration::infinite() * 2).is_infinite());
+  EXPECT_TRUE((Duration::seconds(1) * 1e12).is_infinite());
+  EXPECT_EQ(Duration::seconds(1) * -1e12, -Duration::infinite());
+  EXPECT_EQ((Duration::millis(3) * 1.5).us(), 4500);
 }
 
 TEST(Time, DurationRatio) {

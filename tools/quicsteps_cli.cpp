@@ -21,6 +21,10 @@
 //   --qlog-dir DIR    with --trace: write DIR/path.<rep>.qlog (path-qlog
 //                     JSONL) and DIR/path.<rep>.csv per repetition
 //
+// Numeric values are checked: a malformed or out-of-range number (e.g.
+// --payload-mib abc, --rate-mbit 0, --rtt-ms -5, --loss 2) exits with a
+// usage error.
+//
 // Fleet mode (--flows N with N >= 2) runs one N-flow fabric over a shared
 // bottleneck instead of repetitions of a single flow:
 //   --flows N             number of competing senders (ids 10..)
@@ -33,10 +37,13 @@
 //   --health-exit         exit nonzero when the health report is unhealthy
 //                         (stalls / pacing spikes / drop bursts /
 //                         incomplete flows) — the CI gate switch
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <sstream>
 #include <string>
 
 #include "core/quicsteps.hpp"
@@ -51,6 +58,22 @@ namespace {
                        "tools/quicsteps_cli.cpp for flags)\n",
                message.c_str());
   std::exit(2);
+}
+
+/// Parses all of `text` as a T within [lo, hi]; trailing junk, overflow,
+/// NaN or an out-of-range value is a usage error naming `flag`.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text, T lo, T hi) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    std::ostringstream range;
+    range << "[" << lo << ", " << hi << "]";
+    usage_error(flag + " needs a number in " + range.str() + ", got '" +
+                text + "'");
+  }
+  return value;
 }
 
 framework::StackKind parse_stack(const std::string& value) {
@@ -166,6 +189,14 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) usage_error(std::string(argv[i]) + " needs a value");
     return argv[++i];
   };
+  // Checked numeric flags: the upper bounds keep each flag's unit
+  // conversion (MiB -> bytes, Mbit/s -> bit/s, ms -> ns, ...) inside int64.
+  constexpr std::int64_t kMaxI64 = std::numeric_limits<std::int64_t>::max();
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  auto next_number = [&](int& i, auto lo, decltype(lo) hi) {
+    const std::string flag = argv[i];
+    return parse_number(flag, next_value(i), lo, hi);
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -179,33 +210,35 @@ int main(int argc, char** argv) {
     } else if (flag == "--gso") {
       config.gso = parse_gso(next_value(i));
     } else if (flag == "--gso-segments") {
-      config.gso_segments = std::stoi(next_value(i));
+      config.gso_segments = next_number(i, 1, kMaxInt);
     } else if (flag == "--sendmmsg") {
       config.use_sendmmsg = true;
     } else if (flag == "--payload-mib") {
-      config.payload_bytes = std::stoll(next_value(i)) * 1024 * 1024;
+      config.payload_bytes =
+          next_number(i, std::int64_t{1}, kMaxI64 >> 20) << 20;
     } else if (flag == "--reps") {
-      config.repetitions = std::stoi(next_value(i));
+      config.repetitions = next_number(i, 1, kMaxInt);
     } else if (flag == "--seed") {
-      config.seed = std::stoull(next_value(i));
+      config.seed = next_number(i, std::uint64_t{0},
+                                std::numeric_limits<std::uint64_t>::max());
     } else if (flag == "--jobs") {
-      jobs = std::stoi(next_value(i));
+      jobs = next_number(i, std::numeric_limits<int>::min(), kMaxInt);
     } else if (flag == "--rate-mbit") {
-      config.topology.bottleneck_rate =
-          net::DataRate::megabits_per_second(std::stoll(next_value(i)));
+      config.topology.bottleneck_rate = net::DataRate::megabits_per_second(
+          next_number(i, std::int64_t{1}, kMaxI64 / 1'000'000));
     } else if (flag == "--rtt-ms") {
-      config.topology.path_delay_one_way =
-          sim::Duration::millis(std::stoll(next_value(i)) / 2);
+      config.topology.path_delay_one_way = sim::Duration::millis(
+          next_number(i, std::int64_t{0}, kMaxI64 / 1'000'000) / 2);
     } else if (flag == "--buffer-kb") {
       config.topology.bottleneck_buffer_bytes =
-          std::stoll(next_value(i)) * 1000;
+          next_number(i, std::int64_t{0}, kMaxI64 / 1000) * 1000;
     } else if (flag == "--loss") {
-      config.topology.path_loss_probability = std::stod(next_value(i));
+      config.topology.path_loss_probability = next_number(i, 0.0, 1.0);
     } else if (flag == "--reorder") {
-      config.topology.path_reorder_probability = std::stod(next_value(i));
+      config.topology.path_reorder_probability = next_number(i, 0.0, 1.0);
     } else if (flag == "--gro-us") {
-      config.topology.client_gro_window =
-          sim::Duration::micros(std::stoll(next_value(i)));
+      config.topology.client_gro_window = sim::Duration::micros(
+          next_number(i, std::int64_t{0}, kMaxI64 / 1000));
     } else if (flag == "--csv") {
       csv_prefix = next_value(i);
       config.keep_capture = true;
@@ -217,12 +250,12 @@ int main(int argc, char** argv) {
     } else if (flag == "--qlog-dir") {
       qlog_dir = next_value(i);
     } else if (flag == "--flows") {
-      flows = std::stoi(next_value(i));
-      if (flows < 1) usage_error("--flows needs a positive count");
+      flows = next_number(i, 1, kMaxInt);
     } else if (flag == "--trace-sample") {
-      trace_sample = static_cast<std::uint32_t>(std::stoul(next_value(i)));
+      trace_sample = next_number(
+          i, std::uint32_t{0}, std::numeric_limits<std::uint32_t>::max());
     } else if (flag == "--window-ms") {
-      window_ms = std::stoll(next_value(i));
+      window_ms = next_number(i, std::int64_t{0}, kMaxI64 / 1'000'000);
     } else if (flag == "--timeseries-csv") {
       timeseries_csv = next_value(i);
     } else if (flag == "--health-report") {
