@@ -2,13 +2,14 @@
 // 40 Mbit/s bottleneck; this bench pushes the same machinery to 1-10
 // Gbit/s short-RTT paths, where the simulator's own per-packet event cost
 // — not the modeled network — becomes the bottleneck. It measures
-// simulated packets per wall-clock second on ONE core for the legacy
-// closure-per-packet datapath versus the batched drain-train + packet-slab
-// datapath, at each rate and with an ACK-frequency/GRO-style receiver
-// batching window. Both datapaths must produce the same wire_hash: the
-// optimization is host-side only.
+// simulated packets per wall-clock second on ONE core at each rate, with
+// and without an ACK-frequency/GRO-style receiver batching window, and
+// checks every run's wire_hash against a golden table: the datapath's
+// host-side cost may change, the departure times it produces may not.
 //
-//   QUICSTEPS_HIGHBW_MIB    transfer size per run (default 8)
+//   QUICSTEPS_HIGHBW_MIB    transfer size per run (default 8; goldens
+//                           exist for 2 and 8, other sizes print
+//                           "no golden")
 //   QUICSTEPS_HIGHBW_IDEAL  set to also sweep the ideal-pacing stack
 #include <chrono>
 #include <cstdio>
@@ -26,15 +27,17 @@ struct RatePoint {
   double gbps;
 };
 
-framework::ExperimentConfig highbw_config(framework::StackKind stack,
-                                          double gbps, bool batched,
-                                          int gro_us) {
-  framework::ExperimentConfig config;
-  config.label = batched ? "batched" : "legacy";
-  config.stack = stack;
+long long highbw_mib() {
   const char* mib = std::getenv("QUICSTEPS_HIGHBW_MIB");
-  config.payload_bytes =
-      (mib != nullptr ? std::atoll(mib) : 8ll) * 1024 * 1024;
+  return mib != nullptr ? std::atoll(mib) : 8ll;
+}
+
+framework::ExperimentConfig highbw_config(framework::StackKind stack,
+                                          double gbps, int gro_us) {
+  framework::ExperimentConfig config;
+  config.label = framework::to_string(stack);
+  config.stack = stack;
+  config.payload_bytes = highbw_mib() * 1024 * 1024;
   config.repetitions = 1;
   config.seed = 1;
   const auto rate = net::DataRate::bits_per_second(
@@ -46,9 +49,52 @@ framework::ExperimentConfig highbw_config(framework::StackKind stack,
   config.topology.bottleneck_buffer_bytes =
       rate.bytes_in(sim::Duration::millis(2));
   config.topology.tbf_burst_bytes = 16 * 1514;
-  config.topology.batched_datapath = batched;
   config.topology.client_gro_window = sim::Duration::micros(gro_us);
   return config;
+}
+
+constexpr framework::StackKind kSf = framework::StackKind::kQuicheSf;
+constexpr framework::StackKind kIdeal = framework::StackKind::kIdealQuic;
+
+const RatePoint kRates[] = {
+    {"1 Gbit/s", 1.0}, {"2.5 Gbit/s", 2.5}, {"5 Gbit/s", 5.0},
+    {"10 Gbit/s", 10.0}};
+const int kGroPoints[] = {0, 16};
+
+/// wire_hash at seed 1 of every (rate, gro_us) point, in kRates x
+/// kGroPoints order, per transfer size and stack. Captured when a
+/// closure-per-packet datapath still ran beside the slab-backed one and
+/// both produced exactly these values.
+struct Golden {
+  long long mib;
+  framework::StackKind stack;
+  std::uint64_t wire_hash[8];
+};
+
+const Golden kGoldens[] = {
+    {2, kSf,
+     {0x2dfab936f4fc16a2ull, 0xd6874eedf9b7601full, 0x2dfab936f4fc16a2ull,
+      0xaed27918b74b46bcull, 0x2dfab936f4fc16a2ull, 0xdda0c03beb5a8e5eull,
+      0x2dfab936f4fc16a2ull, 0xdda0c03beb5a8e5eull}},
+    {2, kIdeal,
+     {0x4b427a4585d92cdbull, 0x1570b95d62c94771ull, 0x4b427a4585d92cdbull,
+      0xd4e267a103e01cd8ull, 0x4b427a4585d92cdbull, 0xd4e267a103e01cd8ull,
+      0x4b427a4585d92cdbull, 0xd4e267a103e01cd8ull}},
+    {8, kSf,
+     {0x5614c9349dbb0df1ull, 0x044240f7507ec69cull, 0x5614c9349dbb0df1ull,
+      0xbb94618072ee2dd1ull, 0x5614c9349dbb0df1ull, 0xb25e5bc228c5ff75ull,
+      0x5614c9349dbb0df1ull, 0xb25e5bc228c5ff75ull}},
+    {8, kIdeal,
+     {0xaced4da0140406f4ull, 0x33052e1cbdb58b9dull, 0xaced4da0140406f4ull,
+      0xcb876b154cdc9780ull, 0xaced4da0140406f4ull, 0x7d2a19b0a6bc80c5ull,
+      0xaced4da0140406f4ull, 0xe5ceff5bde8dfcd9ull}},
+};
+
+const Golden* find_golden(long long mib, framework::StackKind stack) {
+  for (const Golden& g : kGoldens) {
+    if (g.mib == mib && g.stack == stack) return &g;
+  }
+  return nullptr;
 }
 
 struct Measured {
@@ -84,43 +130,35 @@ Measured measure(const framework::ExperimentConfig& config, int trials,
 int main() {
   print_header("extH", "multi-Gbit hot path: packets/s per core");
 
-  const RatePoint rates[] = {
-      {"1 Gbit/s", 1.0}, {"2.5 Gbit/s", 2.5}, {"5 Gbit/s", 5.0},
-      {"10 Gbit/s", 10.0}};
-  const int gro_points[] = {0, 16};
-
-  std::vector<framework::StackKind> stacks = {framework::StackKind::kQuicheSf};
+  std::vector<framework::StackKind> stacks = {kSf};
   if (std::getenv("QUICSTEPS_HIGHBW_IDEAL") != nullptr) {
-    stacks.push_back(framework::StackKind::kIdealQuic);
+    stacks.push_back(kIdeal);
   }
 
-  std::printf("%-10s %-12s %7s %10s %12s %12s %7s %8s\n", "stack", "rate",
-              "gro_us", "packets", "legacy p/s", "batched p/s", "ratio",
-              "hash_eq");
-  std::printf("%s\n", std::string(84, '-').c_str());
+  std::printf("%-10s %-12s %7s %10s %12s %18s %10s\n", "stack", "rate",
+              "gro_us", "packets", "p/s", "wire_hash", "golden");
+  std::printf("%s\n", std::string(85, '-').c_str());
 
-  bool all_hashes_equal = true;
+  const long long mib = highbw_mib();
+  bool all_match = true;
   for (auto stack : stacks) {
-    for (const auto& rate : rates) {
-      for (int gro_us : gro_points) {
-        // Interleave the two arms across rounds so slow machine phases hit
-        // both; keep the best round of each.
-        Measured legacy, batched;
-        for (int round = 0; round < 2; ++round) {
-          Measured l =
-              measure(highbw_config(stack, rate.gbps, false, gro_us), 1, 5);
-          Measured b =
-              measure(highbw_config(stack, rate.gbps, true, gro_us), 1, 5);
-          if (l.pkts_per_s > legacy.pkts_per_s) legacy = l;
-          if (b.pkts_per_s > batched.pkts_per_s) batched = b;
+    const Golden* golden = find_golden(mib, stack);
+    std::size_t point = 0;
+    for (const auto& rate : kRates) {
+      for (int gro_us : kGroPoints) {
+        const Measured m =
+            measure(highbw_config(stack, rate.gbps, gro_us), 2, 5);
+        const char* verdict = "no golden";
+        if (golden != nullptr) {
+          const bool match = golden->wire_hash[point] == m.wire_hash;
+          all_match = all_match && match;
+          verdict = match ? "match" : "MISMATCH";
         }
-        const bool hash_eq = legacy.wire_hash == batched.wire_hash;
-        all_hashes_equal = all_hashes_equal && hash_eq;
-        std::printf("%-10s %-12s %7d %10lld %12.0f %12.0f %7.2f %8s\n",
+        ++point;
+        std::printf("%-10s %-12s %7d %10lld %12.0f   %016llx %10s\n",
                     framework::to_string(stack), rate.label, gro_us,
-                    static_cast<long long>(batched.packets), legacy.pkts_per_s,
-                    batched.pkts_per_s, batched.pkts_per_s / legacy.pkts_per_s,
-                    hash_eq ? "yes" : "NO");
+                    static_cast<long long>(m.packets), m.pkts_per_s,
+                    static_cast<unsigned long long>(m.wire_hash), verdict);
       }
     }
     std::printf("\n");
@@ -128,11 +166,10 @@ int main() {
 
   print_paper_note(
       "No testbed counterpart — the paper's bottleneck is 40 Mbit/s. This "
-      "family gates the framework's own hot path: the batched datapath must "
-      "beat the legacy closure-per-packet loop at every rate with an "
-      "identical wire_hash (host-side optimization only; the modeled "
-      "network cannot tell the difference). The receiver batching window "
-      "(gro_us) stands in for ACK-frequency/GRO coalescing and lifts both "
-      "datapaths by shrinking the ACK event stream.");
-  return all_hashes_equal ? 0 : 1;
+      "family gates the framework's own hot path: packets/s per core at "
+      "each rate, with every wire_hash pinned to its golden (host-side "
+      "cost may change; the modeled network must not). The receiver "
+      "batching window (gro_us) stands in for ACK-frequency/GRO "
+      "coalescing and lifts throughput by shrinking the ACK event stream.");
+  return all_match ? 0 : 1;
 }

@@ -11,7 +11,6 @@
 #include "metrics/capture_analysis.hpp"
 #include "net/packet_slab.hpp"
 #include "metrics/gap_analyzer.hpp"
-#include "metrics/precision.hpp"
 #include "metrics/train_analyzer.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/quantile_sketch.hpp"
@@ -44,7 +43,7 @@ void BM_DrainScheduleRun(benchmark::State& state) {
   // The drain-channel counterpart of BM_EventLoopScheduleRun: the same
   // schedule pattern, but each event is a 32-bit payload on a registered
   // channel instead of a std::function closure. The ratio between the two
-  // is the per-event saving the batched datapath banks on, and feeds the
+  // is the per-event saving the slab-backed datapath banks on, and feeds the
   // `throughput` section of BENCH_micro.json.
   for (auto _ : state) {
     sim::EventLoop loop;
@@ -76,12 +75,13 @@ net::Packet hop_packet(std::uint64_t id) {
 }
 
 void BM_LoopHopPacketClosure(benchmark::State& state) {
-  // The pre-PR datapath idiom for one packet hop: a heap-allocated
-  // std::function closure capturing the Packet by move, scheduled at the
-  // packet's wire time. One wave = one pacer burst worth of 1514-byte
-  // packets at 10 Gbit/s spacing. Baseline for BM_LoopHopPacketBatched;
-  // the pair's items_per_second ratio is the "batched loop vs pre-PR
-  // event loop" number in BENCH_micro.json's `throughput` section.
+  // One packet hop through the event loop's closure API (the one timers
+  // use): a heap-allocated std::function closure capturing the Packet by
+  // move, scheduled at the packet's wire time. One wave = one pacer burst
+  // worth of 1514-byte packets at 10 Gbit/s spacing. Baseline for
+  // BM_LoopHopPacketBatched; the pair's items_per_second ratio is CI's
+  // in-run gate and the loop-hop number in BENCH_micro.json's `throughput`
+  // section.
   const int packets = static_cast<int>(state.range(0));
   constexpr std::int64_t kSpacingNs = 1211;  // 1514 bytes at 10 Gbit/s
   sim::EventLoop loop;
@@ -113,7 +113,7 @@ struct HopConsumer {
 };
 
 void BM_LoopHopPacketBatched(benchmark::State& state) {
-  // The batched datapath for the same hop: the Packet parks in the slab,
+  // The datapath's form of the same hop: the Packet parks in the slab,
   // a slotless 24-byte drain record rides the wheel, and the wave drains
   // as a train without leaving run()'s cursor. Same work as the closure
   // arm — compare items_per_second.
@@ -224,7 +224,8 @@ void BM_TbfShaping(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventLoop loop;
     net::CollectorSink sink;
-    kernel::TbfQdisc tbf(loop,
+    net::PacketSlab slab;
+    kernel::TbfQdisc tbf(loop, slab,
                          {.rate = net::DataRate::megabits_per_second(40),
                           .burst_bytes = 3000,
                           .limit_bytes = 1 << 24},
@@ -323,34 +324,6 @@ void BM_TrainAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainAnalysis)->Arg(100000);
 
-void BM_CaptureAnalysisFourPass(benchmark::State& state) {
-  // What Runner::run_once used to do: four separate walks over the capture
-  // (gaps, trains, precision, data-packet count). Comparison baseline for
-  // the single-pass facade below.
-  auto capture = synthetic_capture(static_cast<int>(state.range(0)));
-  metrics::GapAnalyzer gaps;
-  metrics::TrainAnalyzer trains;
-  metrics::PrecisionAnalyzer precision;
-  for (auto _ : state) {
-    auto gap_report = gaps.analyze(capture);
-    auto train_report = trains.analyze(capture);
-    auto precision_report = precision.analyze(capture);
-    std::int64_t data_packets = 0;
-    for (const auto& pkt : capture) {
-      if (pkt.flow == 1 && (pkt.kind == net::PacketKind::kQuicData ||
-                            pkt.kind == net::PacketKind::kTcpData)) {
-        ++data_packets;
-      }
-    }
-    benchmark::DoNotOptimize(gap_report.back_to_back_fraction);
-    benchmark::DoNotOptimize(train_report.total_packets);
-    benchmark::DoNotOptimize(precision_report.precision_ms);
-    benchmark::DoNotOptimize(data_packets);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_CaptureAnalysisFourPass)->Arg(100000);
-
 void BM_CaptureAnalysisSinglePass(benchmark::State& state) {
   // The CaptureAnalyzer facade: all four per-run reports from one walk.
   auto capture = synthetic_capture(static_cast<int>(state.range(0)));
@@ -381,31 +354,6 @@ std::vector<net::Packet> synthetic_multi_flow_capture(int n, int flows) {
   }
   return capture;
 }
-
-void BM_FlowDemuxPerFlowRescan(benchmark::State& state) {
-  // What run_duel used to do, generalized to N flows: one full capture
-  // walk per flow, filtering on the flow id. O(N * packets).
-  const int flows = static_cast<int>(state.range(1));
-  auto capture =
-      synthetic_multi_flow_capture(static_cast<int>(state.range(0)), flows);
-  for (auto _ : state) {
-    for (int f = 0; f < flows; ++f) {
-      metrics::CaptureAnalyzer::Config config;
-      config.flow = static_cast<std::uint32_t>(10 + f);
-      metrics::CaptureAnalyzer analyzer(config);
-      for (const auto& pkt : capture) {
-        if (pkt.flow == config.flow) analyzer.add(pkt);
-      }
-      benchmark::DoNotOptimize(analyzer.finish().wire_data_packets);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FlowDemuxPerFlowRescan)
-    ->Args({100000, 1})
-    ->Args({100000, 2})
-    ->Args({100000, 4})
-    ->Args({100000, 8});
 
 void BM_FlowDemuxSinglePass(benchmark::State& state) {
   // The fabric's FlowCaptureDemux: one walk routes every packet to its
@@ -556,15 +504,13 @@ void BM_RunWithTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_RunWithTrace)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-framework::ExperimentConfig highbw_config(bool batched) {
+framework::ExperimentConfig highbw_config() {
   // The 10 Gbit/s point of the bench_ext_highbw family: a short-RTT
   // multi-Gbit path that stresses the per-packet event cost rather than
   // the paper's 40 Mbit/s bottleneck. items_per_second is simulated
-  // packets per wall-clock second on one core — the number the
-  // `throughput` section of BENCH_micro.json gates on (batched >= 2x
-  // legacy at this point).
+  // packets per wall-clock second on one core.
   framework::ExperimentConfig config;
-  config.label = batched ? "highbw-batched" : "highbw-legacy";
+  config.label = "highbw";
   config.stack = framework::StackKind::kQuicheSf;
   config.payload_bytes = 8ll * 1024 * 1024;
   config.repetitions = 1;
@@ -575,15 +521,11 @@ framework::ExperimentConfig highbw_config(bool batched) {
   config.topology.bottleneck_buffer_bytes =
       net::DataRate::gigabits_per_second(10).bytes_in(sim::Duration::millis(2));
   config.topology.tbf_burst_bytes = 16 * 1514;
-  config.topology.batched_datapath = batched;
   return config;
 }
 
 void BM_HighBwRun(benchmark::State& state) {
-  // Arg 0 = legacy closure-per-packet datapath (pre-batching baseline),
-  // arg 1 = batched drain trains + packet slab. Identical wire_hash either
-  // way; only host-side cost differs.
-  const auto config = highbw_config(state.range(0) != 0);
+  const auto config = highbw_config();
   std::int64_t packets = 0;
   for (auto _ : state) {
     auto run = framework::Runner::run_once(config, config.seed);
@@ -592,7 +534,7 @@ void BM_HighBwRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * packets);
 }
-BENCHMARK(BM_HighBwRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HighBwRun)->Unit(benchmark::kMillisecond);
 
 std::vector<framework::ExperimentConfig> bench_grid() {
   std::vector<framework::ExperimentConfig> grid;

@@ -96,8 +96,8 @@ class QuicEndpoint final : public FlowEndpoint {
 
   bool complete() const override { return client_->complete(); }
 
-  void enable_batched(net::PacketSlab* slab) override {
-    if (stack_ != nullptr && slab != nullptr) stack_->enable_batched(slab);
+  void set_gso_pool(net::PacketSlab& slab) override {
+    if (stack_ != nullptr) stack_->set_gso_pool(slab);
   }
 
   void set_trace(obs::TraceBus& bus, const std::string& prefix) override {

@@ -47,10 +47,10 @@ class FlowEndpoint {
     (void)prefix;
   }
 
-  /// Joins the shared packet slab (batched datapath): the stack's socket
-  /// recycles GSO segment buffers through the slab's pool. Default: the
-  /// endpoint has no socket to wire (ideal server, TCP baseline).
-  virtual void enable_batched(net::PacketSlab* slab) { (void)slab; }
+  /// The stack's socket recycles GSO segment buffers through `slab`'s
+  /// pool. Default: the endpoint has no socket to wire (ideal server, TCP
+  /// baseline).
+  virtual void set_gso_pool(net::PacketSlab& slab) { (void)slab; }
 
   /// Endpoint-side result fields: completion, sender stats, goodput.
   /// Wire-derived fields (gaps, trains, precision, hash, drops) come from

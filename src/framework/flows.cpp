@@ -47,12 +47,11 @@ SenderHost::SenderHost(sim::EventLoop& loop, const FlowSpec& spec,
     : flow_id_(flow_id),
       spec_(spec),
       os_(os),
-      path_(loop, spec_.config.topology, os_, path.wire_ingress(),
-            path.slab()) {
+      path_(loop, spec_.config.topology, os_, path.nic_wire()) {
   endpoint_ =
       make_flow_endpoint(loop, os_, spec_.config, flow_id_, seed,
                          path_.egress(), path.ack_ingress(), live_result);
-  endpoint_->enable_batched(path.slab());
+  endpoint_->set_gso_pool(path.slab());
   // Duplicate flow ids trip the flow table's registration audit.
   path.register_flow(flow_id_, &endpoint_->data_ingress(),
                      &endpoint_->ack_ingress());
@@ -281,12 +280,8 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
   check::MonotonicityAuditor tap_monotone("wire-tap departure time");
   std::int64_t tap_packets = 0;
   // The streaming demux below makes the tap's own retained capture dead
-  // weight — per-flow captures are filled on the fly when requested. The
-  // legacy datapath keeps retaining so that batched_datapath=false stays a
-  // faithful pre-batching baseline for A/B benchmarks.
-  if (config.flows[0].config.topology.batched_datapath) {
-    net.path().tap().set_retain_capture(false);
-  }
+  // weight — per-flow captures are filled on the fly when requested.
+  net.path().tap().set_retain_capture(false);
   net.path().tap().set_on_packet([&demux, &hashers, &captures, &tap_monotone,
                                   &tap_packets, ts, wire_packets_handle,
                                   wire_bytes_handle](const net::Packet& pkt) {

@@ -42,14 +42,12 @@
 namespace quicsteps::framework {
 
 /// One sender's kernel egress chain, built per `config.server_qdisc`:
-/// the qdisc under test feeding a NIC that serializes onto `wire`.
-/// `slab` is the shared packet slab when the batched datapath is on
-/// (null = legacy per-packet closures).
+/// the qdisc under test feeding a NIC that serializes onto `wire` (the
+/// shared path's, which carries its packet slab).
 class SenderPath {
  public:
   SenderPath(sim::EventLoop& loop, const TopologyConfig& config,
-             kernel::OsModel& os, net::PacketSink* wire,
-             net::PacketSlab* slab = nullptr);
+             kernel::OsModel& os, kernel::TxWire& wire);
 
   /// Head of the chain: the stack's UdpSocket target.
   net::PacketSink* egress() { return qdisc_.get(); }
@@ -81,8 +79,10 @@ class BottleneckPath {
   BottleneckPath(sim::EventLoop& loop, const TopologyConfig& config,
                  sim::Rng& rng, kernel::OsModel& server_recv_os);
 
-  /// Where sender NICs serialize to: the tap (then TBF, netem, client).
+  /// The tap (then TBF, netem, client).
   net::PacketSink* wire_ingress() { return tap_.get(); }
+  /// Where sender NICs serialize to: completions feed wire_ingress().
+  kernel::TxWire& nic_wire() { return nic_wire_; }
   /// Where client endpoints send ACKs: netem back toward the servers.
   net::PacketSink* ack_ingress() { return &ack_netem_; }
 
@@ -103,9 +103,9 @@ class BottleneckPath {
 
   net::WireTap& tap() { return *tap_; }
   const net::WireTap& tap() const { return *tap_; }
-  /// The shared packet slab, or null when the legacy datapath is active.
-  /// Sender paths built on this bottleneck join the same slab.
-  net::PacketSlab* slab() { return batched_ ? &slab_ : nullptr; }
+  /// The shared packet slab. Sender paths built on this bottleneck join
+  /// the same slab.
+  net::PacketSlab& slab() { return slab_; }
   const kernel::TbfQdisc& bottleneck() const { return bottleneck_; }
   const kernel::NetemQdisc& data_netem() const { return data_netem_; }
   const kernel::NetemQdisc& ack_netem() const { return ack_netem_; }
@@ -132,10 +132,8 @@ class BottleneckPath {
  private:
   kernel::OsModel client_os_;
 
-  // The flat packet store every datapath component shares under the
-  // batched datapath — constructed first so it outlives the components
-  // holding a pointer to it.
-  bool batched_ = true;
+  // The flat packet store every datapath component shares — constructed
+  // first so it outlives the components holding a reference to it.
   net::PacketSlab slab_;
 
   // Dispatch tables outlive the receivers that deliver into them.
@@ -147,6 +145,7 @@ class BottleneckPath {
   kernel::NetemQdisc data_netem_;
   kernel::TbfQdisc bottleneck_;
   std::unique_ptr<net::WireTap> tap_;
+  kernel::TxWire nic_wire_;
 
   // ACK path.
   std::unique_ptr<kernel::UdpReceiver> server_receiver_;

@@ -31,8 +31,7 @@ Topology::Topology(sim::EventLoop& loop, TopologyConfig config, sim::Rng& rng)
       server_os_(config.server_os, rng.fork(1)),
       path_(std::make_unique<BottleneckPath>(loop, config_, rng, server_os_)),
       sender_(std::make_unique<SenderPath>(loop, config_, server_os_,
-                                           path_->wire_ingress(),
-                                           path_->slab())),
+                                           path_->nic_wire())),
       to_client_([this](net::Packet pkt) {
         if (client_handler_) client_handler_(std::move(pkt));
       }),

@@ -15,40 +15,27 @@ void Nic::deliver(net::Packet pkt) {
     // rate); the paced-GSO patch spaces segment i by i * seg/rate.
     const bool paced = !pkt.gso_pacing_rate.is_zero();
     sim::Time release = now;
-    if (slab_ != nullptr && pkt.gso_segments.use_count() == 1) {
-      // Batched fast path: the buffer is uniquely ours at the driver
-      // boundary, so the segment train moves straight into the slab —
-      // no per-segment Packet copy.
-      auto& segments =
-          const_cast<std::vector<net::Packet>&>(*pkt.gso_segments);
-      for (auto& seg : segments) {
-        const std::int64_t seg_bytes = seg.size_bytes;
-        net::Packet wire = std::move(seg);
-        wire.kernel_entry_time = pkt.kernel_entry_time;
-        QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kGsoSegment,
-                             trace_component_, now, wire);
-        transmit(std::move(wire), release);
-        if (paced) {
-          release += pkt.gso_pacing_rate.transmit_time(seg_bytes);
-        }
-      }
+    // A buffer that is uniquely ours at the driver boundary moves its
+    // segment train straight into the slab (no per-segment Packet copy);
+    // one still shared elsewhere is copied from.
+    const bool owned = pkt.gso_segments.use_count() == 1;
+    auto& segments = const_cast<std::vector<net::Packet>&>(*pkt.gso_segments);
+    for (auto& seg : segments) {
+      const std::int64_t seg_bytes = seg.size_bytes;
+      net::Packet segment = owned ? std::move(seg) : seg;
+      segment.kernel_entry_time = pkt.kernel_entry_time;
+      QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kGsoSegment,
+                           trace_component_, now, segment);
+      transmit(std::move(segment), release);
+      if (paced) release += pkt.gso_pacing_rate.transmit_time(seg_bytes);
+    }
+    if (owned) {
       // The buffer is spent; hand the husk (and its capacity) back to the
       // slab pool so the next sendmsg_gso reuses it instead of allocating.
       segments.clear();
-      slab_->put_gso_buffer(std::const_pointer_cast<std::vector<net::Packet>>(
-          std::move(pkt.gso_segments)));
-      return;
-    }
-    const auto& segments = *pkt.gso_segments;
-    for (const auto& seg : segments) {
-      net::Packet wire = seg;
-      wire.kernel_entry_time = pkt.kernel_entry_time;
-      QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kGsoSegment,
-                           trace_component_, now, wire);
-      transmit(std::move(wire), release);
-      if (paced) {
-        release += pkt.gso_pacing_rate.transmit_time(seg.size_bytes);
-      }
+      wire_.slab().put_gso_buffer(
+          std::const_pointer_cast<std::vector<net::Packet>>(
+              std::move(pkt.gso_segments)));
     }
     return;
   }
@@ -75,27 +62,21 @@ void Nic::transmit(net::Packet pkt, sim::Time earliest) {
   ++packets_sent_;
   QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kNicTx, trace_component_,
                        start, pkt);
-  if (slab_ != nullptr) {
-    // Completions are never cancelled, so the record can be slotless.
-    loop_.post_drain_at(busy_until_, tx_channel_, slab_->put(std::move(pkt)));
-    return;
-  }
-  loop_.schedule_at(busy_until_, sim::EventClass::kTransmit,
-                    [this, pkt = std::move(pkt)]() mutable {
-    if (downstream_ != nullptr) downstream_->deliver(std::move(pkt));
-  });
+  // Completions are never cancelled, so the record can be slotless.
+  loop_.post_drain_at(busy_until_, wire_.channel(),
+                      wire_.slab().put(std::move(pkt)));
 }
 
-void Nic::enable_batched(net::PacketSlab* slab) {
-  slab_ = slab;
-  tx_channel_ =
-      loop_.register_drain(sim::EventClass::kTransmit, &Nic::drain_tx, this);
-}
+TxWire::TxWire(sim::EventLoop& loop, net::PacketSlab& slab,
+               net::PacketSink& downstream)
+    : slab_(slab),
+      downstream_(downstream),
+      channel_(loop.register_drain(sim::EventClass::kTransmit,
+                                   &TxWire::drain_tx, this)) {}
 
-void Nic::drain_tx(void* self, std::uint32_t ref) {
-  Nic* nic = static_cast<Nic*>(self);
-  net::Packet pkt = nic->slab_->take(ref);
-  if (nic->downstream_ != nullptr) nic->downstream_->deliver(std::move(pkt));
+void TxWire::drain_tx(void* self, std::uint32_t ref) {
+  TxWire* wire = static_cast<TxWire*>(self);
+  wire->downstream_.deliver(wire->slab_.take(ref));
 }
 
 }  // namespace quicsteps::kernel

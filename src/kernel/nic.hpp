@@ -19,6 +19,29 @@
 
 namespace quicsteps::kernel {
 
+/// The wire every NIC of a network serialises onto. It owns the one
+/// TX-completion drain channel those NICs share: a completion only takes
+/// the packet out of the slab and delivers it downstream, so nothing in it
+/// is per-NIC, and the fabric registers one channel for any sender count
+/// (drain channel ids are 14 bits wide).
+class TxWire {
+ public:
+  TxWire(sim::EventLoop& loop, net::PacketSlab& slab,
+         net::PacketSink& downstream);
+  TxWire(const TxWire&) = delete;
+  TxWire& operator=(const TxWire&) = delete;
+
+  net::PacketSlab& slab() const { return slab_; }
+  sim::DrainId channel() const { return channel_; }
+
+ private:
+  static void drain_tx(void* self, std::uint32_t ref);
+
+  net::PacketSlab& slab_;
+  net::PacketSink& downstream_;
+  sim::DrainId channel_;
+};
+
 class Nic final : public net::PacketSink, public obs::TraceSource {
  public:
   struct Config {
@@ -34,34 +57,25 @@ class Nic final : public net::PacketSink, public obs::TraceSource {
     bool drop_missed_launch = false;
   };
 
-  Nic(sim::EventLoop& loop, Config config, OsModel& os,
-      net::PacketSink* downstream)
-      : loop_(loop), config_(config), os_(os), downstream_(downstream) {}
+  /// TX completions are drain records on `wire`'s channel carrying slab
+  /// refs.
+  Nic(sim::EventLoop& loop, Config config, OsModel& os, TxWire& wire)
+      : loop_(loop), wire_(wire), config_(config), os_(os) {}
 
   void deliver(net::Packet pkt) override;
 
-  void set_downstream(net::PacketSink* sink) { downstream_ = sink; }
   std::int64_t packets_sent() const { return packets_sent_; }
   std::int64_t missed_launch_drops() const { return missed_launch_drops_; }
-
-  /// Switches TX completions to the batched datapath: completions become
-  /// drain records carrying slab refs, and GSO segments are moved (not
-  /// copied) out of a uniquely-owned buffer. Call once during wiring.
-  void enable_batched(net::PacketSlab* slab);
 
  private:
   /// Serializes one wire packet whose transmission may start no earlier
   /// than `earliest`.
   void transmit(net::Packet pkt, sim::Time earliest);
 
-  static void drain_tx(void* self, std::uint32_t ref);
-
   sim::EventLoop& loop_;
-  net::PacketSlab* slab_ = nullptr;
-  sim::DrainId tx_channel_ = 0;
+  TxWire& wire_;
   Config config_;
   OsModel& os_;
-  net::PacketSink* downstream_;
   sim::Time busy_until_;
   std::int64_t packets_sent_ = 0;
   std::int64_t missed_launch_drops_ = 0;

@@ -24,10 +24,12 @@ class Qdisc : public net::PacketSink, public obs::TraceSource {
  public:
   Qdisc(sim::EventLoop& loop, std::string name, net::PacketSink* downstream)
       : loop_(loop), name_(std::move(name)), downstream_(downstream) {}
+  // Disciplines hand `this` to the loop (drain channels, timer closures).
+  Qdisc(const Qdisc&) = delete;
+  Qdisc& operator=(const Qdisc&) = delete;
 
   const std::string& name() const { return name_; }
   const net::Counters& counters() const { return counters_; }
-  void set_downstream(net::PacketSink* sink) { downstream_ = sink; }
 
   /// Live queue depth in packets for conservation auditing, or -1 when the
   /// discipline does not report one (only sign/edge invariants then apply

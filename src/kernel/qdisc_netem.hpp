@@ -29,11 +29,17 @@ class NetemQdisc final : public Qdisc {
     sim::Duration reorder_gap = sim::Duration::millis(2);
   };
 
-  NetemQdisc(sim::EventLoop& loop, Config config, sim::Rng rng,
-             net::PacketSink* downstream)
+  /// Each delivery is a slotless drain record carrying a `slab` ref
+  /// (deliveries are never cancelled).
+  NetemQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
+             sim::Rng rng, net::PacketSink* downstream)
       : Qdisc(loop, "netem", downstream),
         config_(config),
-        rng_(std::move(rng)) {}
+        rng_(std::move(rng)),
+        slab_(slab),
+        delay_channel_(loop.register_drain(sim::EventClass::kDelay,
+                                           &NetemQdisc::drain_delivery, this)) {
+  }
 
   void deliver(net::Packet pkt) override {
     note_arrival(pkt);
@@ -56,28 +62,10 @@ class NetemQdisc final : public Qdisc {
       d = sim::max(d - config_.reorder_gap, sim::Duration::zero());
       ++reordered_;
     }
-    if (slab_ != nullptr) {
-      // Batched datapath: the delivery is a slotless drain record carrying
-      // a slab ref (deliveries are never cancelled). Refs are
-      // payload-addressed, so jitter and reorder deliveries surfacing out
-      // of arrival order need no extra bookkeeping.
-      loop_.post_drain_at(loop_.now() + d, delay_channel_,
-                          slab_->put(std::move(pkt)));
-      return;
-    }
-    loop_.schedule_after(d, sim::EventClass::kDelay,
-                         [this, pkt = std::move(pkt)]() mutable {
-                           --in_flight_;
-                           forward(std::move(pkt));
-                         });
-  }
-
-  /// Switches deliveries to slab-backed drain records (batched datapath).
-  /// Call once during wiring.
-  void enable_batched(net::PacketSlab* slab) {
-    slab_ = slab;
-    delay_channel_ = loop_.register_drain(sim::EventClass::kDelay,
-                                          &NetemQdisc::drain_delivery, this);
+    // Refs are payload-addressed, so jitter and reorder deliveries
+    // surfacing out of arrival order need no extra bookkeeping.
+    loop_.post_drain_at(loop_.now() + d, delay_channel_,
+                        slab_.put(std::move(pkt)));
   }
 
   std::int64_t in_flight() const { return in_flight_; }
@@ -88,13 +76,13 @@ class NetemQdisc final : public Qdisc {
   static void drain_delivery(void* self, std::uint32_t ref) {
     NetemQdisc* netem = static_cast<NetemQdisc*>(self);
     --netem->in_flight_;
-    netem->forward(netem->slab_->take(ref));
+    netem->forward(netem->slab_.take(ref));
   }
 
   Config config_;
   sim::Rng rng_;
-  net::PacketSlab* slab_ = nullptr;
-  sim::DrainId delay_channel_ = 0;
+  net::PacketSlab& slab_;
+  sim::DrainId delay_channel_;
   std::int64_t in_flight_ = 0;
   std::int64_t random_losses_ = 0;
   std::int64_t reordered_ = 0;

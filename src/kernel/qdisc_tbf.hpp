@@ -25,19 +25,16 @@ class TbfQdisc final : public Qdisc {
     std::int64_t limit_bytes = 200 * 1000;  // 1 BDP at 40 Mbit/s x 40 ms
   };
 
-  TbfQdisc(sim::EventLoop& loop, Config config, net::PacketSink* downstream);
+  /// Queued packets live flat in `slab`; the token loop reads their byte
+  /// sizes off the slab's hot lane.
+  TbfQdisc(sim::EventLoop& loop, net::PacketSlab& slab, Config config,
+           net::PacketSink* downstream);
 
   void deliver(net::Packet pkt) override;
 
-  /// Switches the FIFO to slab refs (batched datapath): queued packets
-  /// live flat in the shared slab and the token loop reads byte sizes off
-  /// the slab's hot lane. Call once during wiring, while empty.
-  void enable_batched(net::PacketSlab* slab);
-
   std::int64_t backlog_bytes() const { return backlog_bytes_; }
   std::int64_t backlog_packets() const override {
-    return static_cast<std::int64_t>(slab_ != nullptr ? ref_queue_.size()
-                                                      : queue_.size());
+    return static_cast<std::int64_t>(queue_.size());
   }
 
  private:
@@ -47,10 +44,9 @@ class TbfQdisc final : public Qdisc {
   void try_release();
 
   Config config_;
-  std::deque<net::Packet> queue_;        // legacy datapath
-  std::deque<net::PacketSlab::Ref> ref_queue_;  // batched datapath
-  net::PacketSlab* slab_ = nullptr;
-  sim::DrainId wake_channel_ = 0;
+  net::PacketSlab& slab_;
+  std::deque<net::PacketSlab::Ref> queue_;
+  sim::DrainId wake_channel_;
   std::int64_t backlog_bytes_ = 0;
   double tokens_bytes_;
   sim::Time last_refill_;

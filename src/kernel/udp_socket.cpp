@@ -45,6 +45,18 @@ sim::Duration UdpSocket::sendmmsg(std::vector<net::Packet> packets) {
   return os_.draw_syscall_cost();
 }
 
+UdpReceiver::UdpReceiver(sim::EventLoop& loop, net::PacketSlab& slab,
+                         OsModel& os, std::int64_t rcvbuf_bytes,
+                         Handler handler, sim::Duration gro_window)
+    : loop_(loop),
+      os_(os),
+      slab_(slab),
+      wakeup_channel_(loop.register_drain(sim::EventClass::kWakeup,
+                                          &UdpReceiver::drain_wakeup, this)),
+      rcvbuf_bytes_(rcvbuf_bytes),
+      gro_window_(gro_window),
+      handler_(std::move(handler)) {}
+
 void UdpReceiver::deliver(net::Packet pkt) {
   counters_.count_in(pkt.size_bytes);
   if (buffered_bytes_ + pkt.size_bytes > rcvbuf_bytes_) {
@@ -55,22 +67,9 @@ void UdpReceiver::deliver(net::Packet pkt) {
   pkt.delivery_time = loop_.now();
 
   if (gro_window_.is_zero()) {
-    if (slab_ != nullptr) {
-      // Wakeups are never cancelled, so the record can be slotless.
-      loop_.post_drain_at(loop_.now() + os_.draw_wakeup_latency(),
-                          wakeup_channel_, slab_->put(std::move(pkt)));
-      return;
-    }
-    loop_.schedule_after(os_.draw_wakeup_latency(), sim::EventClass::kWakeup,
-                         [this, pkt = std::move(pkt)]() mutable {
-                           ++wakeups_;
-                           buffered_bytes_ -= pkt.size_bytes;
-                           counters_.count_out(pkt.size_bytes);
-                           QUICSTEPS_TRACE_SPAN(
-                               trace_bus_, obs::TraceStage::kDelivery,
-                               trace_component_, loop_.now(), pkt);
-                           if (handler_) handler_(std::move(pkt));
-                         });
+    // Wakeups are never cancelled, so the record can be slotless.
+    loop_.post_drain_at(loop_.now() + os_.draw_wakeup_latency(),
+                        wakeup_channel_, slab_.put(std::move(pkt)));
     return;
   }
 
@@ -84,34 +83,25 @@ void UdpReceiver::deliver(net::Packet pkt) {
   }
 }
 
-void UdpReceiver::enable_batched(net::PacketSlab* slab) {
-  slab_ = slab;
-  wakeup_channel_ = loop_.register_drain(sim::EventClass::kWakeup,
-                                         &UdpReceiver::drain_wakeup, this);
-}
-
 void UdpReceiver::drain_wakeup(void* self, std::uint32_t ref) {
   UdpReceiver* rx = static_cast<UdpReceiver*>(self);
-  net::Packet pkt = rx->slab_->take(ref);
   ++rx->wakeups_;
-  rx->buffered_bytes_ -= pkt.size_bytes;
-  rx->counters_.count_out(pkt.size_bytes);
-  QUICSTEPS_TRACE_SPAN(rx->trace_bus_, obs::TraceStage::kDelivery,
-                       rx->trace_component_, rx->loop_.now(), pkt);
-  if (rx->handler_) rx->handler_(std::move(pkt));
+  rx->hand_up(rx->slab_.take(ref));
 }
 
 void UdpReceiver::flush() {
   ++wakeups_;
   std::vector<net::Packet> batch;
   batch.swap(gro_batch_);
-  for (auto& pkt : batch) {
-    buffered_bytes_ -= pkt.size_bytes;
-    counters_.count_out(pkt.size_bytes);
-    QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kDelivery,
-                         trace_component_, loop_.now(), pkt);
-    if (handler_) handler_(std::move(pkt));
-  }
+  for (auto& pkt : batch) hand_up(std::move(pkt));
+}
+
+void UdpReceiver::hand_up(net::Packet pkt) {
+  buffered_bytes_ -= pkt.size_bytes;
+  counters_.count_out(pkt.size_bytes);
+  QUICSTEPS_TRACE_SPAN(trace_bus_, obs::TraceStage::kDelivery,
+                       trace_component_, loop_.now(), pkt);
+  if (handler_) handler_(std::move(pkt));
 }
 
 }  // namespace quicsteps::kernel

@@ -47,9 +47,9 @@ class UdpSocket : public obs::TraceSource {
 
   void set_egress(net::PacketSink* egress) { egress_ = egress; }
 
-  /// Joins the shared slab: GSO segment buffers recycle through its pool
-  /// instead of being allocated per sendmsg_gso call.
-  void enable_batched(net::PacketSlab* slab) { slab_ = slab; }
+  /// GSO segment buffers recycle through `slab`'s pool instead of being
+  /// allocated per sendmsg_gso call. Without a pool each call allocates.
+  void set_gso_pool(net::PacketSlab& slab) { slab_ = &slab; }
 
   const net::Counters& counters() const { return counters_; }
   std::uint64_t gso_buffers_sent() const { return next_gso_id_ - 1; }
@@ -79,20 +79,15 @@ class UdpReceiver final : public net::PacketSink, public obs::TraceSource {
  public:
   using Handler = std::function<void(net::Packet)>;
 
-  UdpReceiver(sim::EventLoop& loop, OsModel& os, std::int64_t rcvbuf_bytes,
-              Handler handler, sim::Duration gro_window = sim::Duration::zero())
-      : loop_(loop),
-        os_(os),
-        rcvbuf_bytes_(rcvbuf_bytes),
-        gro_window_(gro_window),
-        handler_(std::move(handler)) {}
+  /// Per-datagram wakeups are drain records carrying `slab` refs; the GRO
+  /// path batches on its own timer.
+  UdpReceiver(sim::EventLoop& loop, net::PacketSlab& slab, OsModel& os,
+              std::int64_t rcvbuf_bytes, Handler handler,
+              sim::Duration gro_window = sim::Duration::zero());
+  UdpReceiver(const UdpReceiver&) = delete;
+  UdpReceiver& operator=(const UdpReceiver&) = delete;
 
   void deliver(net::Packet pkt) override;
-
-  /// Switches per-datagram wakeups to slab-backed drain records (batched
-  /// datapath). Call once during wiring. The GRO path already batches and
-  /// is unaffected.
-  void enable_batched(net::PacketSlab* slab);
 
   const net::Counters& counters() const { return counters_; }
   /// User-space wakeups performed (each models one recvmsg/recvmmsg).
@@ -101,11 +96,13 @@ class UdpReceiver final : public net::PacketSink, public obs::TraceSource {
  private:
   void flush();
   static void drain_wakeup(void* self, std::uint32_t ref);
+  /// Hands one datagram to user space (within a wakeup already counted).
+  void hand_up(net::Packet pkt);
 
   sim::EventLoop& loop_;
   OsModel& os_;
-  net::PacketSlab* slab_ = nullptr;
-  sim::DrainId wakeup_channel_ = 0;
+  net::PacketSlab& slab_;
+  sim::DrainId wakeup_channel_;
   std::int64_t rcvbuf_bytes_;
   sim::Duration gro_window_;
   std::int64_t buffered_bytes_ = 0;

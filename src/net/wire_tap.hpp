@@ -30,16 +30,15 @@ class WireTap final : public PacketSink, public obs::TraceSource {
     if (downstream_ != nullptr) downstream_->deliver(std::move(pkt));
   }
 
-  void set_downstream(PacketSink* sink) { downstream_ = sink; }
 
   /// Full capture, in wire order.
   const std::vector<Packet>& capture() const { return capture_; }
   void clear() { capture_.clear(); }
 
   /// Retention switch. Defaults to on (every Topology user reads the
-  /// capture directly); run_flows turns it off under the batched datapath
-  /// — its analysis streams through on_packet, so retaining a copy of
-  /// every wire packet was pure per-packet allocation.
+  /// capture directly); run_flows turns it off — its analysis streams
+  /// through on_packet, so retaining a copy of every wire packet would be
+  /// pure per-packet allocation.
   void set_retain_capture(bool retain) { retain_capture_ = retain; }
 
   /// Optional live callback (used by long-running experiments to stream

@@ -14,15 +14,15 @@
 // generation counter is bumped and the stale queue record is skipped when
 // it surfaces.
 //
-// Drain channels are the batched-datapath fast lane: a component registers
+// Drain channels are the datapath's fast lane: a component registers
 // a raw function pointer once and then schedules 32-bit payloads (packet
 // slab refs, see net/packet_slab.hpp) instead of closures. A drain record
 // costs no std::function construction when scheduled and no indirect
 // closure teardown when it runs, and run()/run_until() execute consecutive
 // drain records off the sorted active bucket in a tight train loop without
 // re-entering the cursor search. Drain records share the global sequence
-// counter with closure events, so a datapath that switches a schedule site
-// from closures to drains preserves execution order bit-for-bit.
+// counter with closure events, so a datapath hop and a timer due at the
+// same instant run in the order they were scheduled.
 #pragma once
 
 #include <array>
@@ -141,7 +141,8 @@ class EventLoop {
 
   /// Registers a drain channel. Called once per component during wiring;
   /// `cls` is the event class its records are profiled under. The channel
-  /// lives as long as the loop.
+  /// lives as long as the loop. Ids are 14 bits wide, so components that
+  /// exist once per flow share a channel instead of each registering one.
   DrainId register_drain(EventClass cls, DrainFn fn, void* ctx);
 
   /// Schedules `payload` to be handed to channel `ch` at absolute time

@@ -46,9 +46,8 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
   /// External wake-up (new application data became available).
   void poke() { attempt_send(); }
 
-  /// Joins the shared slab: the socket recycles GSO segment buffers
-  /// through its pool (batched datapath).
-  void enable_batched(net::PacketSlab* slab) { socket_.enable_batched(slab); }
+  /// The socket recycles GSO segment buffers through `slab`'s pool.
+  void set_gso_pool(net::PacketSlab& slab) { socket_.set_gso_pool(slab); }
 
   quic::Connection& connection() { return connection_; }
   const quic::Connection& connection() const { return connection_; }

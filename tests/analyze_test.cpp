@@ -316,7 +316,7 @@ TEST(AnalyzeLayering, RealManifestLoadsAndDeclaresTheStack) {
   EXPECT_TRUE(manifest.is_universal("check"));
   EXPECT_TRUE(manifest.is_universal("obs"));
   EXPECT_FALSE(manifest.is_universal("sim"));
-  // The batched-datapath files are tagged hot_path for perf/hot-path-alloc.
+  // The per-packet datapath files are tagged hot_path for perf/hot-path-alloc.
   EXPECT_TRUE(manifest.is_hot_path("sim/event_loop.cpp"));
   EXPECT_TRUE(manifest.is_hot_path("net/packet_slab.hpp"));
   EXPECT_TRUE(manifest.is_hot_path("kernel/nic.cpp"));

@@ -268,33 +268,46 @@ TEST(DeterminismHash, SerialEqualsParallelAcrossStacksAndSeeds) {
   EXPECT_NE(parallel[0][0].wire_hash, parallel[1][0].wire_hash);
 }
 
-TEST(DeterminismHash, BatchedEqualsLegacyAcrossStacksAndSeeds) {
-  // The batched datapath (drain trains + packet slab) must be a pure
-  // mechanical transformation: for every stack and seed, the wire-hash of
-  // a batched run equals the legacy closure-per-packet run bit for bit.
-  // Drain records share the loop's sequence counter and every RNG draw
-  // stays at its original call site, so any divergence here is a bug in
-  // the conversion, not an accepted behavior change.
+TEST(DeterminismHash, WireHashGoldensAcrossStacksAndSeeds) {
+  // The same grid pinned to fixed digests. They were captured when the
+  // datapath still had a closure-per-packet implementation beside the
+  // slab-backed one and both produced exactly these values, so a change
+  // to any per-packet hop that moves a departure time shows up here.
+  struct Golden {
+    StackKind stack;
+    std::uint64_t seed;
+    std::uint64_t wire_hash;
+  };
+  const Golden goldens[] = {
+      {StackKind::kQuiche, 1, 0x0fa51d96f3ee5b36ull},
+      {StackKind::kQuiche, 7, 0x755114417b94e539ull},
+      {StackKind::kQuiche, 42, 0x0948f4e90c9d0f30ull},
+      {StackKind::kQuicheSf, 1, 0x0fa51d96f3ee5b36ull},
+      {StackKind::kQuicheSf, 7, 0x755114417b94e539ull},
+      {StackKind::kQuicheSf, 42, 0x0948f4e90c9d0f30ull},
+      {StackKind::kPicoquic, 1, 0x12f4e24ea6c9e855ull},
+      {StackKind::kPicoquic, 7, 0x9bfa8c06dbd8c7e7ull},
+      {StackKind::kPicoquic, 42, 0xb42651dbe06363e2ull},
+      {StackKind::kNgtcp2, 1, 0xfddbd223e4f371f2ull},
+      {StackKind::kNgtcp2, 7, 0xe13b16fb7df9acecull},
+      {StackKind::kNgtcp2, 42, 0x8fba5469d01bc695ull},
+      {StackKind::kTcpTls, 1, 0x1ccb982528c7c632ull},
+      {StackKind::kTcpTls, 7, 0xe7edb1fe9fbaf984ull},
+      {StackKind::kTcpTls, 42, 0x755041b3f3633e81ull},
+      {StackKind::kIdealQuic, 1, 0x563ee47643931475ull},
+      {StackKind::kIdealQuic, 7, 0x0d139079ff86dcbfull},
+      {StackKind::kIdealQuic, 42, 0xd92c29dd32a4035full},
+  };
   std::vector<ExperimentConfig> grid;
-  for (auto stack : {StackKind::kQuiche, StackKind::kQuicheSf,
-                     StackKind::kPicoquic, StackKind::kNgtcp2,
-                     StackKind::kTcpTls, StackKind::kIdealQuic}) {
-    for (std::uint64_t seed : {1ull, 7ull, 42ull}) {
-      grid.push_back(hash_config(stack, seed));
-    }
-  }
+  for (const Golden& g : goldens) grid.push_back(hash_config(g.stack, g.seed));
 
-  const auto batched = ParallelRunner(4).run_grid(grid);
+  const auto runs = ParallelRunner(4).run_grid(grid);
 
-  ASSERT_EQ(batched.size(), grid.size());
+  ASSERT_EQ(runs.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    ASSERT_EQ(batched[i].size(), 1u);
-    ExperimentConfig legacy_config = grid[i];
-    legacy_config.topology.batched_datapath = false;
-    const auto legacy = Runner::run_once(legacy_config, legacy_config.seed);
+    ASSERT_EQ(runs[i].size(), 1u);
     SCOPED_TRACE(grid[i].label + " seed " + std::to_string(grid[i].seed));
-    EXPECT_NE(legacy.wire_hash, 0u);
-    EXPECT_EQ(batched[i][0].wire_hash, legacy.wire_hash);
+    EXPECT_EQ(runs[i][0].wire_hash, goldens[i].wire_hash);
   }
 }
 

@@ -1,13 +1,15 @@
 // FlowStateSlab tests, mirroring the PacketSlab suite (slab_test.cpp):
 // two-phase construction (reserve -> OS lane -> record lane), free-list
 // slot recycling under the fixed capacity, and generation-checked handles
-// that audit instead of aliasing a recycled flow's state.
+// that audit instead of aliasing a recycled flow's state — plus a fabric
+// built past the event loop's 2^14 drain-channel ids.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "check/audit.hpp"
+#include "core/quicsteps.hpp"
 #include "framework/flow_slab.hpp"
 #include "kernel/os_model.hpp"
 #include "sim/random.hpp"
@@ -127,6 +129,44 @@ TEST_F(FlowSlabAuditTest, RecordBeforeOsTripsTheTwoPhaseAudit) {
   slab.emplace_record(h, dummy, 1, nullptr);
   ASSERT_FALSE(failures_.empty());
   EXPECT_NE(failures_[0].find("before its OsModel"), std::string::npos);
+}
+
+// ------------------------------------------------- fabric beyond 2^14 flows
+
+TEST(FabricScale, FlowsPastTheDrainChannelIdSpaceReachTheTap) {
+  // Drain channel ids are 14 bits. Every sender NIC shares the shared
+  // path's one TX-completion channel, so a fleet larger than 2^14 flows
+  // still wires (a channel per NIC exhausted the id space here) and the
+  // flows past index 16,383 transmit onto the wire like the rest.
+  constexpr std::size_t kFlows = 16400;
+  framework::ExperimentConfig flow;
+  flow.stack = framework::StackKind::kIdealQuic;
+  flow.payload_bytes = 64 * 1024;
+  flow.topology.bottleneck_rate =
+      net::DataRate::bits_per_second(std::int64_t{4'000'000} * kFlows);
+  framework::MultiFlowConfig config;
+  config.lite_metrics = true;
+  config.flows.assign(kFlows, framework::FlowSpec{.config = flow});
+
+  sim::EventLoop loop;
+  sim::Rng rng(config.seed);
+  std::vector<framework::RunResult> live(kFlows);
+  framework::Network net(loop, config, rng, live);
+  const std::uint32_t first_id = net.host(16384).flow_id();
+  const std::uint32_t last_id = net.host(kFlows - 1).flow_id();
+  std::vector<std::int64_t> tapped(kFlows - 16384, 0);
+  net.path().tap().set_retain_capture(false);
+  net.path().tap().set_on_packet([&](const net::Packet& pkt) {
+    if (pkt.flow >= first_id && pkt.flow <= last_id) {
+      ++tapped[pkt.flow - first_id];
+    }
+  });
+  net.start();
+  loop.run_until(sim::Time::zero() + sim::Duration::millis(1));
+
+  for (std::size_t i = 0; i < tapped.size(); ++i) {
+    EXPECT_GT(tapped[i], 0) << "flow index " << 16384 + i;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 // determinism) swept across stacks and seeds.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "core/quicsteps.hpp"
 
 namespace quicsteps::framework {
@@ -170,11 +174,20 @@ TEST(ParallelRunner, RunAllMatchesRunnerInterface) {
 
 // ------------------------------------------------------ property sweeps
 
+// gtest labels each case with a hex dump of the whole parameter struct,
+// padding included. Left uninitialised, those padding bytes made the
+// labels (and so the ctest names) change from one test discovery to the
+// next. `label` fills them explicitly so every build discovers the same
+// names; its values reproduce the names these cases have been tracked
+// under. It plays no part in the run.
 struct SweepParam {
   StackKind stack;
   CcAlgorithm cca;
+  std::array<std::uint8_t, 6> label;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>,
+              "SweepParam must have no padding for stable test names");
 
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   std::string name = to_string(info.param.stack);
@@ -238,15 +251,15 @@ TEST_P(ExperimentSweep, DeterministicForSameSeed) {
 INSTANTIATE_TEST_SUITE_P(
     AllStacks, ExperimentSweep,
     ::testing::Values(
-        SweepParam{StackKind::kQuiche, CcAlgorithm::kCubic, 1},
-        SweepParam{StackKind::kQuiche, CcAlgorithm::kBbr, 2},
-        SweepParam{StackKind::kQuicheSf, CcAlgorithm::kCubic, 3},
-        SweepParam{StackKind::kPicoquic, CcAlgorithm::kCubic, 4},
-        SweepParam{StackKind::kPicoquic, CcAlgorithm::kBbr, 5},
-        SweepParam{StackKind::kPicoquic, CcAlgorithm::kNewReno, 6},
-        SweepParam{StackKind::kNgtcp2, CcAlgorithm::kCubic, 7},
-        SweepParam{StackKind::kTcpTls, CcAlgorithm::kCubic, 8},
-        SweepParam{StackKind::kIdealQuic, CcAlgorithm::kCubic, 9}),
+        SweepParam{StackKind::kQuiche, CcAlgorithm::kCubic, {0x00}, 1},
+        SweepParam{StackKind::kQuiche, CcAlgorithm::kBbr, {0x00}, 2},
+        SweepParam{StackKind::kQuicheSf, CcAlgorithm::kCubic, {0x01}, 3},
+        SweepParam{StackKind::kPicoquic, CcAlgorithm::kCubic, {0x48}, 4},
+        SweepParam{StackKind::kPicoquic, CcAlgorithm::kBbr, {0x00}, 5},
+        SweepParam{StackKind::kPicoquic, CcAlgorithm::kNewReno, {0x00}, 6},
+        SweepParam{StackKind::kNgtcp2, CcAlgorithm::kCubic, {0x01}, 7},
+        SweepParam{StackKind::kTcpTls, CcAlgorithm::kCubic, {0x48}, 8},
+        SweepParam{StackKind::kIdealQuic, CcAlgorithm::kCubic, {0x00}, 9}),
     param_name);
 
 // Qdisc sweep: the transfer must complete under every server qdisc.

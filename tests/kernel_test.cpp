@@ -160,12 +160,13 @@ class NicTest : public ::testing::Test {
   EventLoop loop;
   OsModel os{quiet_os(), sim::Rng(1)};
   CollectorSink sink;
+  net::PacketSlab slab;
+  net::WireTap tap{loop, &sink};
+  TxWire wire{loop, slab, tap};
 };
 
 TEST_F(NicTest, SerializesAtLineRate) {
-  Nic nic(loop, {.line_rate = DataRate::gigabits_per_second(1)}, os, &sink);
-  net::WireTap tap(loop, &sink);
-  nic.set_downstream(&tap);
+  Nic nic(loop, {.line_rate = DataRate::gigabits_per_second(1)}, os, wire);
   nic.deliver(make_packet(1));
   nic.deliver(make_packet(2));
   loop.run();
@@ -175,9 +176,7 @@ TEST_F(NicTest, SerializesAtLineRate) {
 }
 
 TEST_F(NicTest, StockGsoExpandsBackToBack) {
-  Nic nic(loop, {.line_rate = DataRate::gigabits_per_second(1)}, os, &sink);
-  net::WireTap tap(loop, &sink);
-  nic.set_downstream(&tap);
+  Nic nic(loop, {.line_rate = DataRate::gigabits_per_second(1)}, os, wire);
   std::vector<Packet> segs;
   for (int i = 0; i < 8; ++i) segs.push_back(make_packet(i, 1500));
   nic.deliver(make_gso_buffer(share(std::move(segs)), 1, DataRate::zero()));
@@ -191,9 +190,7 @@ TEST_F(NicTest, StockGsoExpandsBackToBack) {
 }
 
 TEST_F(NicTest, PacedGsoSpreadsSegments) {
-  Nic nic(loop, {.line_rate = DataRate::gigabits_per_second(1)}, os, &sink);
-  net::WireTap tap(loop, &sink);
-  nic.set_downstream(&tap);
+  Nic nic(loop, {.line_rate = DataRate::gigabits_per_second(1)}, os, wire);
   std::vector<Packet> segs;
   for (int i = 0; i < 8; ++i) segs.push_back(make_packet(i, 1500));
   // Paced-GSO patch: 40 Mbit/s pacing rate -> 300 us between segments.
@@ -212,9 +209,7 @@ TEST_F(NicTest, LaunchTimeHoldsEarlyPackets) {
           {.line_rate = DataRate::gigabits_per_second(1),
            .launch_time = true,
            .launch_jitter_max = Duration::zero()},
-          os, &sink);
-  net::WireTap tap(loop, &sink);
-  nic.set_downstream(&tap);
+          os, wire);
   Packet p = make_packet(1);
   p.has_txtime = true;
   p.txtime = Time::zero() + 5_ms;
@@ -225,9 +220,7 @@ TEST_F(NicTest, LaunchTimeHoldsEarlyPackets) {
 }
 
 TEST_F(NicTest, LaunchTimeDisabledSendsImmediately) {
-  Nic nic(loop, {.launch_time = false}, os, &sink);
-  net::WireTap tap(loop, &sink);
-  nic.set_downstream(&tap);
+  Nic nic(loop, {.launch_time = false}, os, wire);
   Packet p = make_packet(1);
   p.has_txtime = true;
   p.txtime = Time::zero() + 5_ms;
@@ -279,7 +272,8 @@ TEST(UdpReceiver, EnforcesReceiveBuffer) {
   EventLoop loop;
   OsModel os(quiet_os(), sim::Rng(1));
   int received = 0;
-  UdpReceiver receiver(loop, os, 3000, [&](Packet) { ++received; });
+  net::PacketSlab slab;
+  UdpReceiver receiver(loop, slab, os, 3000, [&](Packet) { ++received; });
   // Quiet OS = zero wakeup latency, but delivery is still via an event, so
   // three back-to-back datagrams exceed the 2-packet buffer.
   receiver.deliver(make_packet(1));

@@ -130,7 +130,9 @@ TEST(Qlog, RunnerWritesPerRepetitionFiles) {
 TEST(NetemImpairments, RandomLossDropsTheConfiguredShare) {
   EventLoop loop;
   net::CollectorSink sink;
-  kernel::NetemQdisc netem(loop, {.delay = 1_ms, .loss_probability = 0.2},
+  net::PacketSlab slab;
+  kernel::NetemQdisc netem(loop, slab,
+                           {.delay = 1_ms, .loss_probability = 0.2},
                            sim::Rng(5), &sink);
   for (int i = 0; i < 5000; ++i) {
     Packet pkt;
@@ -148,7 +150,8 @@ TEST(NetemImpairments, RandomLossDropsTheConfiguredShare) {
 TEST(NetemImpairments, ReorderJumpsTheQueue) {
   EventLoop loop;
   net::CollectorSink sink;
-  kernel::NetemQdisc netem(loop,
+  net::PacketSlab slab;
+  kernel::NetemQdisc netem(loop, slab,
                            {.delay = 5_ms,
                             .reorder_probability = 0.3,
                             .reorder_gap = 2_ms},
@@ -178,8 +181,9 @@ TEST(Gro, CoalescesArrivalsIntoOneWakeup) {
   quiet.wakeup_latency_mean = Duration::zero();
   quiet.wakeup_latency_stddev = Duration::zero();
   kernel::OsModel os(quiet, sim::Rng(2));
+  net::PacketSlab slab;
   int delivered = 0;
-  kernel::UdpReceiver receiver(loop, os, 1 << 20,
+  kernel::UdpReceiver receiver(loop, slab, os, 1 << 20,
                                [&](Packet) { ++delivered; }, 500_us);
   for (int i = 0; i < 8; ++i) {
     Packet pkt;
@@ -197,8 +201,9 @@ TEST(Gro, SeparatedArrivalsAreSeparateWakeups) {
   quiet.wakeup_latency_mean = Duration::zero();
   quiet.wakeup_latency_stddev = Duration::zero();
   kernel::OsModel os(quiet, sim::Rng(2));
+  net::PacketSlab slab;
   int delivered = 0;
-  kernel::UdpReceiver receiver(loop, os, 1 << 20,
+  kernel::UdpReceiver receiver(loop, slab, os, 1 << 20,
                                [&](Packet) { ++delivered; }, 500_us);
   for (int i = 0; i < 4; ++i) {
     loop.schedule_at(Time::zero() + Duration::millis(i * 10), [&receiver] {

@@ -75,6 +75,7 @@ class QdiscTest : public ::testing::Test {
   EventLoop loop;
   OsModel os{quiet_os(), sim::Rng(1)};
   CollectorSink sink;
+  net::PacketSlab slab;
 };
 
 TEST_F(QdiscTest, FifoForwardsImmediately) {
@@ -265,7 +266,7 @@ TEST_F(QdiscTest, TbfShapesToConfiguredRate) {
   // 10 packets of 1500 B at 40 Mbit/s with a 1-packet bucket: packet 0
   // leaves on the full bucket immediately, then one packet per 300 us.
   TimestampSink stamped(loop);
-  TbfQdisc tbf(loop,
+  TbfQdisc tbf(loop, slab,
                {.rate = DataRate::megabits_per_second(40),
                 .burst_bytes = 1500,
                 .limit_bytes = 1'000'000},
@@ -279,7 +280,7 @@ TEST_F(QdiscTest, TbfShapesToConfiguredRate) {
 }
 
 TEST_F(QdiscTest, TbfDropsWhenLimitExceeded) {
-  TbfQdisc tbf(loop,
+  TbfQdisc tbf(loop, slab,
                {.rate = DataRate::megabits_per_second(1),
                 .burst_bytes = 1500,
                 .limit_bytes = 4500},
@@ -293,7 +294,7 @@ TEST_F(QdiscTest, TbfDropsWhenLimitExceeded) {
 
 TEST_F(QdiscTest, TbfBurstAllowsBackToBack) {
   // A deep bucket releases an idle-accumulated burst at once.
-  TbfQdisc tbf(loop,
+  TbfQdisc tbf(loop, slab,
                {.rate = DataRate::megabits_per_second(40),
                 .burst_bytes = 15000,
                 .limit_bytes = 1'000'000},
@@ -307,7 +308,7 @@ TEST_F(QdiscTest, TbfZeroRateHoldsBacklogWithoutAWakeup) {
   // A zero-rate bucket never refills: the initial full bucket lets one
   // packet out and the rest stay queued. Sizing the refill wait used to
   // cast an infinite wait to int64 (UB).
-  TbfQdisc tbf(loop,
+  TbfQdisc tbf(loop, slab,
                {.rate = DataRate::megabits_per_second(0),
                 .burst_bytes = 1500,
                 .limit_bytes = 1'000'000},
@@ -319,7 +320,7 @@ TEST_F(QdiscTest, TbfZeroRateHoldsBacklogWithoutAWakeup) {
 }
 
 TEST_F(QdiscTest, NetemDelaysByConfiguredAmount) {
-  NetemQdisc netem(loop, {.delay = 20_ms}, sim::Rng(2), &sink);
+  NetemQdisc netem(loop, slab, {.delay = 20_ms}, sim::Rng(2), &sink);
   netem.deliver(make_packet(1));
   loop.run();
   EXPECT_EQ(loop.now(), Time::zero() + 20_ms);
@@ -327,8 +328,8 @@ TEST_F(QdiscTest, NetemDelaysByConfiguredAmount) {
 }
 
 TEST_F(QdiscTest, NetemDropsAboveLimit) {
-  NetemQdisc netem(loop, {.delay = 20_ms, .limit_packets = 2}, sim::Rng(2),
-                   &sink);
+  NetemQdisc netem(loop, slab, {.delay = 20_ms, .limit_packets = 2},
+                   sim::Rng(2), &sink);
   for (int i = 0; i < 5; ++i) netem.deliver(make_packet(i));
   loop.run();
   EXPECT_EQ(sink.packets().size(), 2u);
@@ -336,7 +337,7 @@ TEST_F(QdiscTest, NetemDropsAboveLimit) {
 }
 
 TEST_F(QdiscTest, NetemPreservesOrderWithConstantDelay) {
-  NetemQdisc netem(loop, {.delay = 20_ms}, sim::Rng(2), &sink);
+  NetemQdisc netem(loop, slab, {.delay = 20_ms}, sim::Rng(2), &sink);
   for (int i = 0; i < 20; ++i) {
     loop.schedule_at(Time::zero() + Duration::micros(i * 100),
                      [&, i] { netem.deliver(make_packet(i)); });

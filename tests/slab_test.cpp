@@ -1,8 +1,8 @@
-// Batched-datapath storage and scheduling tests: PacketSlab put/take
+// Datapath storage and scheduling tests: PacketSlab put/take
 // round-trips and free-list recycling, the recycled-slot aliasing audit,
 // drain-channel execution order against closure events (shared sequence
-// counter), the run() train loop, and a slab-backed TBF splitting a burst
-// train across a drop-tail boundary.
+// counter), the run() train loop, and the slab-backed TBF: a burst train
+// split across a drop-tail boundary and a golden release schedule.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -123,9 +123,9 @@ void push_payload(void* ctx, std::uint32_t payload) {
 }
 
 TEST(DrainChannel, InterleavesWithClosureEventsInScheduleOrder) {
-  // Drain records and closures share one sequence counter, so converting a
-  // schedule site from closures to drains must not reorder same-instant
-  // events — this is what makes batched == legacy bit-identical.
+  // Drain records and closures share one sequence counter, so a datapath
+  // hop (drain) and a timer (closure) due at the same instant run in the
+  // order they were scheduled.
   EventLoop loop;
   std::vector<int> order;
   const sim::DrainId ch =
@@ -210,8 +210,7 @@ TEST(SlabTbf, BurstTrainSplitsAcrossTheDropTailBoundary) {
   config.rate = DataRate::megabits_per_second(12);  // 1500 B per ms
   config.burst_bytes = 1500;
   config.limit_bytes = 3000;
-  kernel::TbfQdisc tbf(loop, config, &sink);
-  tbf.enable_batched(&slab);
+  kernel::TbfQdisc tbf(loop, slab, config, &sink);
 
   for (std::uint64_t id = 1; id <= 5; ++id) {
     tbf.deliver(make_packet(id));
@@ -231,28 +230,43 @@ TEST(SlabTbf, BurstTrainSplitsAcrossTheDropTailBoundary) {
   EXPECT_EQ(slab.live(), 0u);  // no stale refs left behind by the drops
 }
 
-TEST(SlabTbf, BatchedAndLegacyReleaseIdenticalSchedules) {
-  // The same burst through a slab-backed and a legacy TBF must release at
-  // identical instants — the batched queue only changes storage, never
-  // token arithmetic.
-  auto run_schedule = [](bool batched) {
-    EventLoop loop;
-    net::CollectorSink sink;
-    PacketSlab slab;
-    kernel::TbfQdisc::Config config;
-    config.rate = DataRate::megabits_per_second(12);
-    config.burst_bytes = 1500;
-    config.limit_bytes = 100 * 1500;
-    kernel::TbfQdisc tbf(loop, config, &sink);
-    if (batched) tbf.enable_batched(&slab);
-    std::vector<Time> times;
-    for (std::uint64_t id = 1; id <= 8; ++id) {
-      tbf.deliver(make_packet(id, 700 + static_cast<std::int64_t>(id) * 100));
-    }
-    while (loop.run_one()) times.push_back(loop.now());
-    return times;
-  };
-  EXPECT_EQ(run_schedule(true), run_schedule(false));
+/// Records the instant each packet reaches it.
+class TimestampSink final : public net::PacketSink {
+ public:
+  explicit TimestampSink(EventLoop& loop) : loop_(loop) {}
+  void deliver(Packet /*pkt*/) override {
+    times_ns.push_back(loop_.now().ns());
+  }
+  std::vector<std::int64_t> times_ns;
+
+ private:
+  EventLoop& loop_;
+};
+
+TEST(SlabTbf, ReleaseScheduleGolden) {
+  // Eight growing packets through a one-packet bucket at 1500 B/ms: the
+  // first leaves on the initial burst, each later one when the bucket
+  // covers it. The instants were captured when a closure-per-packet TBF
+  // still ran beside the slab-backed one and both produced them, so they
+  // pin the token arithmetic, not just this implementation's agreement
+  // with itself.
+  EventLoop loop;
+  TimestampSink sink(loop);
+  PacketSlab slab;
+  kernel::TbfQdisc::Config config;
+  config.rate = DataRate::megabits_per_second(12);
+  config.burst_bytes = 1500;
+  config.limit_bytes = 100 * 1500;
+  kernel::TbfQdisc tbf(loop, slab, config, &sink);
+  for (std::uint64_t id = 1; id <= 8; ++id) {
+    tbf.deliver(make_packet(id, 700 + static_cast<std::int64_t>(id) * 100));
+  }
+  loop.run();
+  const std::vector<std::int64_t> golden_ns = {
+      0,       133334,  800001,  1533334,
+      2333334, 3200001, 4133334, 5133334};
+  EXPECT_EQ(sink.times_ns, golden_ns);
+  EXPECT_EQ(slab.live(), 0u);
 }
 
 }  // namespace

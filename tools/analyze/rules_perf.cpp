@@ -1,6 +1,6 @@
 // Hot-path allocation hygiene, interprocedural.
 //
-// The batched datapath's whole point is that the per-packet path performs
+// The datapath's whole point is that the per-packet path performs
 // no allocation in steady state: packets live in the slab
 // (net/packet_slab.hpp), hops ride drain records
 // (sim::EventLoop::schedule_drain_at), and every container grows only to
@@ -20,8 +20,8 @@
 //     a recycled high-water mark, which is what the baseline records);
 //   * schedule_at / schedule_after — constructs a std::function closure
 //     per event; per-packet hops should use a drain channel.
-// Deliberate sites (free-list growth, the legacy A/B datapath) are
-// baselined in tools/analyze/baseline.txt with their rationale.
+// Deliberate sites (free-list growth, per-batch GRO work) are baselined
+// in tools/analyze/baseline.txt with their rationale.
 #include "callgraph.hpp"
 #include "dataflow.hpp"
 #include "rule.hpp"
