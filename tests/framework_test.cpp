@@ -172,6 +172,48 @@ TEST(ParallelRunner, RunAllMatchesRunnerInterface) {
   }
 }
 
+TEST(ParallelRunner, DuelsAreBitIdenticalToSerial) {
+  // run_duels fans competing-flow pairs across the pool; four duels on
+  // four workers must match a serial run_duel loop bit for bit. Under TSan
+  // this is also the race check for its worker lambda.
+  const StackKind pairs[][2] = {
+      {StackKind::kQuicheSf, StackKind::kQuicheSf},
+      {StackKind::kQuicheSf, StackKind::kPicoquic},
+      {StackKind::kPicoquic, StackKind::kTcpTls},
+      {StackKind::kNgtcp2, StackKind::kIdealQuic},
+  };
+  std::vector<DuelConfig> duels;
+  for (const auto& pair : pairs) {
+    DuelConfig duel;
+    duel.a = quick_config(pair[0]);
+    duel.a.payload_bytes = 1ll * 1024 * 1024;
+    duel.b = duel.a;
+    duel.b.stack = pair[1];
+    duel.seed = 21 + duels.size();
+    duels.push_back(duel);
+  }
+
+  const auto parallel = ParallelRunner(4).run_duels(duels);
+
+  ASSERT_EQ(parallel.size(), duels.size());
+  for (std::size_t i = 0; i < duels.size(); ++i) {
+    const DuelResult serial = run_duel(duels[i]);
+    const DuelResult& par = parallel[i];
+    SCOPED_TRACE("duel " + std::to_string(i));
+    EXPECT_EQ(par.bottleneck_drops, serial.bottleneck_drops);
+    EXPECT_EQ(par.fairness, serial.fairness);
+    for (const auto& [p, s] : {std::pair{&par.a, &serial.a},
+                               std::pair{&par.b, &serial.b}}) {
+      EXPECT_EQ(p->completed, s->completed);
+      EXPECT_EQ(p->packets_sent, s->packets_sent);
+      EXPECT_EQ(p->dropped_packets, s->dropped_packets);
+      EXPECT_EQ(p->packets_declared_lost, s->packets_declared_lost);
+      EXPECT_EQ(p->wire_data_packets, s->wire_data_packets);
+      EXPECT_EQ(p->wire_hash, s->wire_hash);
+    }
+  }
+}
+
 // ------------------------------------------------------ property sweeps
 
 // gtest labels each case with a hex dump of the whole parameter struct,

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "baseline.hpp"
-#include "cache.hpp"
 #include "callgraph.hpp"
 #include "cfg.hpp"
 #include "dataflow.hpp"
@@ -25,7 +24,7 @@ bool read_file(const std::string& path, std::string* out) {
   return true;
 }
 
-bool family_enabled(const Options& options, const char* family) {
+bool family_enabled(const Options& options, const std::string& family) {
   if (options.rule_families.empty()) return true;
   for (const auto& f : options.rule_families) {
     if (f == family) return true;
@@ -54,36 +53,40 @@ AnalysisResult run_analysis(const Options& options) {
     }
   }
 
-  TokenCache cache(options.cache_dir);
+  for (const auto& fam : options.rule_families) {
+    const auto& rules = all_rules();
+    if (std::none_of(rules.begin(), rules.end(), [&](const RuleInfo& r) {
+          return rule_family(r.id) == fam;
+        })) {
+      result.error = "unknown rule family '" + fam + "'";
+      return result;
+    }
+  }
+
   Model model;
-  if (!build_model(paths, root, include_base, &model, &result.error,
-                   &cache)) {
+  if (!build_model(paths, root, include_base, &model, &result.error)) {
     return result;
   }
   result.files_scanned = model.files.size();
-  result.files_from_cache = cache.hits();
 
-  std::vector<Finding> findings;
-  // The manifest feeds three families: layering (the DAG), perf (the
-  // hot_path tags), and concurrency (the parallel_entries roots). "-"
-  // skips all three — fixture trees without a real layer stack opt out of
-  // manifest-driven rules entirely.
-  const bool want_layering = family_enabled(options, "layering");
-  const bool want_perf = family_enabled(options, "perf");
-  const bool want_concurrency = family_enabled(options, "concurrency");
-  const bool want_determinism = family_enabled(options, "determinism");
-  const bool want_units = family_enabled(options, "units");
-  const bool want_lifetime = family_enabled(options, "lifetime");
-  const bool want_protocol = family_enabled(options, "protocol");
+  // The manifest feeds three families: layering (the DAG), lifetime (the
+  // generation-checked containers) and protocol (the typestate machines).
+  // "-" skips all three — fixture trees without a real layer stack opt out
+  // of manifest-driven rules entirely.
+  const auto needs_manifest = [](const std::string& family) {
+    return family == "layering" || family == "lifetime" ||
+           family == "protocol";
+  };
   LayerManifest manifest;
-  std::string manifest_text;
   bool have_manifest = false;
-  if (want_layering || want_perf || want_concurrency || want_lifetime ||
-      want_protocol) {
+  if (family_enabled(options, "layering") ||
+      family_enabled(options, "lifetime") ||
+      family_enabled(options, "protocol")) {
     std::string layers_path = options.layers_file.empty()
                                   ? root + "/tools/analyze/layers.json"
                                   : options.layers_file;
     if (layers_path != "-") {
+      std::string manifest_text;
       if (!read_file(layers_path, &manifest_text)) {
         result.error = "cannot read layer manifest " + layers_path;
         return result;
@@ -94,91 +97,54 @@ AnalysisResult run_analysis(const Options& options) {
       have_manifest = true;
     }
   }
+  const auto runs = [&](const std::string& family) {
+    return family_enabled(options, family) &&
+           (have_manifest || !needs_manifest(family));
+  };
 
-  // Whole-analysis result cache: the key pins everything the raw finding
-  // set depends on — the manifest TEXT (not its path), the rule-family
-  // selection, and every scanned file's (rel_path, content hash) in
-  // report order. The baseline is applied after replay, so it is
-  // deliberately absent from the key.
-  ResultCache result_cache(options.cache_dir);
-  std::uint64_t result_key = 0;
-  if (result_cache.enabled()) {
-    KeyHasher k;
-    k.mix_u64(1);  // result-key schema version
-    k.mix(include_base);
-    k.mix(manifest_text);
-    k.mix_u64(options.rule_families.size());
-    for (const auto& fam : options.rule_families) k.mix(fam);
-    k.mix_u64(model.files.size());
-    for (const SourceFile& f : model.files) {
-      k.mix(f.rel_path);
-      k.mix_u64(f.content_hash);
+  std::vector<Finding> findings;
+  if (runs("layering")) run_layering_rules(model, manifest, &findings);
+
+  // The semantic families share one model: symbol index, call graph,
+  // dataflow skeleton. The flow-sensitive families (lifetime, interval
+  // units, typestate) additionally need per-callable CFGs.
+  SymbolIndex index;
+  CallGraph graph;
+  Dataflow flow;
+  CfgIndex cfgs;
+  SemanticModel sem;
+  const bool want_flow = runs("lifetime") || runs("protocol") || runs("units");
+  if (runs("determinism") || want_flow) {
+    index = build_symbol_index(model);
+    graph = build_call_graph(model, index);
+    flow = build_dataflow(model, index);
+    sem = {&index, &graph, &flow};
+    if (want_flow) {
+      cfgs = build_cfg_index(model, index);
+      sem.cfgs = &cfgs;
     }
-    result_key = k.value();
   }
-
-  const bool replayed =
-      result_cache.enabled() && result_cache.load(result_key, &findings);
-  result.findings_from_cache = replayed;
-  if (!replayed) {
-    if (want_layering && have_manifest) {
-      run_layering_rules(model, manifest, &findings);
-    }
-
-    // The semantic families share one model: symbol index, call graph
-    // (hot tags need the manifest), dataflow skeleton.
-    SymbolIndex index;
-    CallGraph graph;
-    Dataflow flow;
-    CfgIndex cfgs;
-    SemanticModel sem;
-    // The flow-sensitive families (lifetime, interval units, typestate)
-    // additionally need per-callable CFGs.
-    const bool want_flow =
-        (want_lifetime && have_manifest) || (want_protocol && have_manifest) ||
-        want_units;
-    const bool want_semantic = (want_perf && have_manifest) ||
-                               (want_concurrency && have_manifest) ||
-                               want_determinism || want_flow;
-    if (want_semantic) {
-      index = build_symbol_index(model);
-      graph =
-          build_call_graph(model, index, have_manifest ? &manifest : nullptr);
-      flow = build_dataflow(model, index);
-      sem = {&index, &graph, &flow};
-      if (want_flow) {
-        cfgs = build_cfg_index(model, index);
-        sem.cfgs = &cfgs;
-      }
-    }
-    if (want_perf && have_manifest) {
-      run_perf_rules(model, manifest, sem, &findings);
-    }
-    if (want_concurrency && have_manifest) {
-      run_concurrency_rules(model, manifest, sem, &findings);
-    }
-    if (want_units) {
-      run_units_rules(model, &findings);
-      run_interval_rules(model, sem, &findings);
-    }
-    if (want_lifetime && have_manifest) {
-      run_lifetime_rules(model, manifest, sem, &findings);
-    }
-    if (want_protocol && have_manifest) {
-      run_typestate_rules(model, manifest, sem, &findings);
-    }
-    if (want_determinism) {
-      run_determinism_rules(model, &findings);
-      run_taint_rules(model, sem, &findings);
-    }
-    if (family_enabled(options, "scheduling")) {
-      run_scheduling_rules(model, &findings);
-    }
-    if (result_cache.enabled()) result_cache.store(result_key, findings);
+  if (runs("units")) {
+    run_units_rules(model, &findings);
+    run_interval_rules(model, sem, &findings);
   }
+  if (runs("lifetime")) run_lifetime_rules(model, manifest, sem, &findings);
+  if (runs("protocol")) run_typestate_rules(model, manifest, sem, &findings);
+  if (runs("determinism")) {
+    run_determinism_rules(model, &findings);
+    run_taint_rules(model, sem, &findings);
+  }
+  if (runs("scheduling")) run_scheduling_rules(model, &findings);
+
+  // Only the waivers of families that ran can be judged stale: a
+  // `--rules units` run says nothing about a determinism waiver.
+  std::vector<std::string> ran;
   for (const auto& rule : all_rules()) {
-    if (family_enabled(options, rule_family(rule.id).c_str())) {
-      ++result.rules_run;
+    const std::string family = rule_family(rule.id);
+    if (family_enabled(options, family)) ++result.rules_run;
+    if (runs(family) &&
+        std::find(ran.begin(), ran.end(), family) == ran.end()) {
+      ran.push_back(family);
     }
   }
 
@@ -207,24 +173,7 @@ AnalysisResult run_analysis(const Options& options) {
       ++result.active_count;
     }
   }
-  result.unused_baseline_entries = baseline.unused();
-
-  if (options.fix_baseline && !result.unused_baseline_entries.empty()) {
-    for (const auto& path : baseline_files) {
-      std::string fixed;
-      if (!baseline.rewritten(path, &fixed)) continue;
-      std::string current;
-      read_file(path, &current);
-      if (fixed == current) continue;  // this file held no stale entries
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        result.error = "--fix-baseline: cannot rewrite " + path;
-        return result;
-      }
-      out << fixed;
-      result.rewritten_baselines.push_back(path);
-    }
-  }
+  result.unused_baseline_entries = baseline.unused(&ran);
 
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {

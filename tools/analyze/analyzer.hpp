@@ -23,29 +23,21 @@ struct Options {
                                            // root/tools/analyze/baseline.txt
                                            // (if it exists)
   std::vector<std::string> rule_families;  // empty = all families
-  std::string cache_dir;                   // token + result caches; empty =
-                                           // disabled
-  bool fix_baseline = false;               // rewrite baselines, dropping
-                                           // stale entries
 };
 
 struct AnalysisResult {
   /// All findings (baselined ones flagged), sorted by
   /// (file, line, col, rule_id) — the order every reporter uses.
   std::vector<Finding> findings;
+  /// Baseline entries of the families that ran which matched nothing.
   std::vector<std::string> unused_baseline_entries;
-  /// Baseline files rewritten by --fix-baseline (stale entries dropped).
-  std::vector<std::string> rewritten_baselines;
   std::size_t files_scanned = 0;
-  std::size_t files_from_cache = 0;  // of files_scanned, token-cache hits
-  /// True when the whole finding set was replayed from the result cache
-  /// (semantic build and all rules skipped).
-  bool findings_from_cache = false;
   std::size_t rules_run = 0;
   std::size_t active_count = 0;     // findings not baselined
   std::size_t baselined_count = 0;
   /// Non-empty on configuration errors (bad manifest, unreadable path,
-  /// malformed baseline). Callers must exit 2, not "clean".
+  /// malformed baseline, unknown rule family). Callers must exit 2, not
+  /// "clean".
   std::string error;
 };
 

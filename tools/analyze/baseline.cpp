@@ -1,5 +1,6 @@
 #include "baseline.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace quicsteps::analyze {
@@ -17,14 +18,11 @@ std::string trim(const std::string& s) {
 
 bool Baseline::load(const std::string& content,
                     const std::string& source_name, std::string* error) {
-  sources_.emplace_back(source_name, std::vector<Line>());
-  std::vector<Line>& lines = sources_.back().second;
   std::istringstream in(content);
   std::string raw;
   int lineno = 0;
   while (std::getline(in, raw)) {
     ++lineno;
-    lines.push_back({raw, static_cast<std::size_t>(-1)});
     const auto hash = raw.find('#');
     std::string line = trim(hash == std::string::npos ? raw
                                                       : raw.substr(0, hash));
@@ -45,7 +43,6 @@ bool Baseline::load(const std::string& content,
                ": unknown rule id '" + e.rule_id + "'";
       return false;
     }
-    lines.back().entry = entries_.size();
     entries_.push_back(std::move(e));
   }
   return true;
@@ -62,30 +59,18 @@ bool Baseline::matches(const Finding& finding) {
   return hit;
 }
 
-std::vector<std::string> Baseline::unused() const {
+std::vector<std::string> Baseline::unused(
+    const std::vector<std::string>* ran) const {
   std::vector<std::string> out;
   for (const auto& e : entries_) {
-    if (!e.used) out.push_back(e.path + ":" + e.rule_id);
+    if (e.used) continue;
+    if (ran != nullptr && std::find(ran->begin(), ran->end(),
+                                    rule_family(e.rule_id)) == ran->end()) {
+      continue;
+    }
+    out.push_back(e.path + ":" + e.rule_id);
   }
   return out;
-}
-
-bool Baseline::rewritten(const std::string& source_name,
-                         std::string* out) const {
-  for (const auto& [name, lines] : sources_) {
-    if (name != source_name) continue;
-    out->clear();
-    for (const Line& line : lines) {
-      if (line.entry != static_cast<std::size_t>(-1) &&
-          !entries_[line.entry].used) {
-        continue;  // stale entry: the whole line goes
-      }
-      *out += line.raw;
-      *out += '\n';
-    }
-    return true;
-  }
-  return false;
 }
 
 }  // namespace quicsteps::analyze

@@ -6,11 +6,9 @@
 //
 // An entry waives every finding of that rule in that file (deliberate:
 // line numbers churn, policies do not). Entries that match nothing are
-// reported so the baseline can only shrink. This replaces
-// tools/lint_allowlist.txt; its rule names map to determinism/<rule>.
+// reported so the baseline can only shrink: a human deletes the line.
 #pragma once
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -29,14 +27,11 @@ class Baseline {
   bool matches(const Finding& finding);
 
   /// Entries that never matched a finding (stale — candidates to delete).
-  std::vector<std::string> unused() const;
-
-  /// --fix-baseline: the content of `source_name` with stale entry lines
-  /// removed. Comment-only and blank lines survive verbatim, as do the
-  /// inline rationale comments of kept entries; a dropped entry takes its
-  /// whole line (inline comment included) with it. Returns false when the
-  /// source was never loaded.
-  bool rewritten(const std::string& source_name, std::string* out) const;
+  /// When `ran` is given, only entries whose rule family is listed there
+  /// count: a run that skipped a family cannot tell whether its waivers
+  /// still match.
+  std::vector<std::string> unused(
+      const std::vector<std::string>* ran = nullptr) const;
 
   std::size_t size() const { return entries_.size(); }
 
@@ -46,13 +41,7 @@ class Baseline {
     std::string rule_id;
     bool used = false;
   };
-  struct Line {
-    std::string raw;
-    std::size_t entry = static_cast<std::size_t>(-1);  // into entries_
-  };
   std::vector<Entry> entries_;
-  /// source_name -> original lines, each tagged with the entry it defines.
-  std::vector<std::pair<std::string, std::vector<Line>>> sources_;
 };
 
 }  // namespace quicsteps::analyze

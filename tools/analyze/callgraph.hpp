@@ -5,20 +5,13 @@
 // preferring definitions in the calling file, and capped when a name is
 // ambiguous across too many definitions (a heuristic graph must not invent
 // thousands of edges for `reset`). Lambdas get an implicit edge from the
-// callable that lexically contains them — a lambda defined in a hot
-// function runs on the hot path until proven otherwise — and resolve by
-// their bound local name when invoked or passed on.
-//
-// Hot tags seed from callables defined in the layers.json hot_path file
-// set and propagate transitively along edges (BFS); this is what lets
-// perf/hot-path-alloc-interproc flag an allocation two calls away from the
-// per-packet loop.
+// callable that lexically contains them and resolve by their bound local
+// name when invoked or passed on.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "rule.hpp"
 #include "symbols.hpp"
 
 namespace quicsteps::analyze {
@@ -42,27 +35,9 @@ struct CallGraph {
   /// Per symbol id: resolved callee symbol ids, sorted + deduped.
   /// Includes the implicit containing-callable -> lambda edges.
   std::vector<std::vector<std::size_t>> edges;
-  /// Per symbol id: transitively reachable from a hot-path file's
-  /// callables (seeds included).
-  std::vector<bool> hot;
-  std::vector<std::size_t> hot_seeds;  // symbol ids, ascending
-
-  bool is_hot(std::size_t symbol) const {
-    return symbol < hot.size() && hot[symbol];
-  }
 };
 
-/// Builds sites, edges, and (when `manifest` is non-null) hot tags.
-CallGraph build_call_graph(const Model& model, const SymbolIndex& index,
-                           const LayerManifest* manifest);
-
-/// Worker entry points for the concurrency family: lambdas passed as
-/// arguments to calls whose name is in `entry_names` (the layers.json
-/// parallel_entries list), plus lambdas defined inside the body of a
-/// function itself named there (the pool worker in parallel_for). Returns
-/// symbol ids, ascending.
-std::vector<std::size_t> worker_entries(
-    const SymbolIndex& index, const CallGraph& graph,
-    const std::vector<std::string>& entry_names);
+/// Builds sites and edges.
+CallGraph build_call_graph(const Model& model, const SymbolIndex& index);
 
 }  // namespace quicsteps::analyze

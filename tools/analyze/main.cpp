@@ -3,18 +3,14 @@
 // Usage:
 //   quicsteps-analyze [--root DIR] [--include-base DIR] [--layers FILE|-]
 //                     [--baseline FILE]... [--rules fam1,fam2]
-//                     [--sarif FILE] [--cache-dir DIR] [--fix-baseline]
-//                     [--list-rules] [--no-exit-code] [PATHS...]
+//                     [--sarif FILE] [--list-rules] [PATHS...]
 //
 // Defaults: scans <root>/src and <root>/tools/analyze (self-hosting) with
 // <root>/tools/analyze/layers.json and <root>/tools/analyze/baseline.txt.
-// --cache-dir keys lexed tokens by content hash so unchanged files skip
-// re-tokenizing; --fix-baseline rewrites the baseline file(s) in place,
-// dropping stale entries. Exit status: 0 clean (baselined findings do not
-// fail the run), 1 unbaselined findings, 2 bad invocation/configuration.
-// --no-exit-code reports findings but exits 0 anyway — for the CI diff
-// gate, which analyzes the merge base (whose findings must not fail the
-// job; only NEW findings in the head do, via tools/analyze_diff.py).
+// Stale baseline entries (of the families that ran) are reported on
+// stderr; delete their lines by hand. Exit status: 0 clean (baselined
+// findings do not fail the run), 1 unbaselined findings, 2 bad
+// invocation/configuration.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -32,8 +28,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [--root DIR] [--include-base DIR] [--layers FILE|-]\n"
       "          [--baseline FILE]... [--rules fam1,fam2] [--sarif FILE]\n"
-      "          [--cache-dir DIR] [--fix-baseline] [--list-rules]\n"
-      "          [--no-exit-code] [PATHS...]\n",
+      "          [--list-rules] [PATHS...]\n",
       argv0);
   return 2;
 }
@@ -60,7 +55,6 @@ int main(int argc, char** argv) {
   Options options;
   std::string sarif_path;
   bool list_rules = false;
-  bool no_exit_code = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -93,16 +87,8 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       sarif_path = v;
-    } else if (arg == "--cache-dir") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.cache_dir = v;
-    } else if (arg == "--fix-baseline") {
-      options.fix_baseline = true;
     } else if (arg == "--list-rules") {
       list_rules = true;
-    } else if (arg == "--no-exit-code") {
-      no_exit_code = true;
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -137,15 +123,9 @@ int main(int argc, char** argv) {
              stdout);
   for (const auto& stale : result.unused_baseline_entries) {
     std::fprintf(stderr,
-                 "quicsteps-analyze: stale baseline entry%s: %s\n",
-                 result.rewritten_baselines.empty()
-                     ? " (matched nothing)"
-                     : " (removed by --fix-baseline)",
+                 "quicsteps-analyze: stale baseline entry (matched "
+                 "nothing): %s\n",
                  stale.c_str());
-  }
-  for (const auto& rewritten : result.rewritten_baselines) {
-    std::fprintf(stderr, "quicsteps-analyze: rewrote %s\n",
-                 rewritten.c_str());
   }
 
   if (!sarif_path.empty()) {
@@ -160,10 +140,8 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "%s\n",
                quicsteps::analyze::summary_line(
-                   result.files_scanned, result.files_from_cache,
-                   result.rules_run, result.active_count,
-                   result.baselined_count, elapsed_ms)
+                   result.files_scanned, result.rules_run,
+                   result.active_count, result.baselined_count, elapsed_ms)
                    .c_str());
-  if (no_exit_code) return 0;
   return result.active_count > 0 ? 1 : 0;
 }

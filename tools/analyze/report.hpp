@@ -22,12 +22,10 @@ std::string text_report(const std::vector<Finding>& findings);
 /// same findings in, byte-identical log out (golden-tested).
 std::string sarif_report(const std::vector<Finding>& findings);
 
-/// "N files (C cached), R rules, F finding(s) (B baselined) in T ms" —
-/// the auditable one-liner check.sh and CI print. C is the token-cache
-/// hit count (0 when --cache-dir is off or cold), so CI logs show warm
-/// vs cold wall time side by side.
-std::string summary_line(std::size_t files, std::size_t cached,
-                         std::size_t rules, std::size_t findings,
+/// "N files, R rules, F finding(s) (B baselined) in T ms" — the auditable
+/// one-liner check.sh and CI print.
+std::string summary_line(std::size_t files, std::size_t rules,
+                         std::size_t findings,
                          std::size_t baselined, long long elapsed_ms);
 
 }  // namespace quicsteps::analyze

@@ -38,19 +38,6 @@ const std::vector<RuleInfo>& all_rules() {
       {"scheduling/ref-capture",
        "Lambda passed to EventLoop::schedule_at/schedule_after captures by "
        "reference (dangling-callback heuristic)."},
-      {"perf/hot-path-alloc-interproc",
-       "Allocation in a callable transitively reachable from the hot-path "
-       "file set (tagged in tools/analyze/layers.json, propagated over the "
-       "call graph): operator new / make_unique / make_shared, container "
-       "growth, or a std::function closure schedule — use the packet slab "
-       "and drain channels, or baseline with the rationale."},
-      {"concurrency/parallel-shared-state",
-       "A worker entry point (lambda handed to a parallel_entries function "
-       "or defined inside one) reaches non-const shared state — a "
-       "by-reference capture it mutates, a non-const global, or a static "
-       "local — that is neither std::atomic nor guarded by a lock in the "
-       "mutating scope. Races break the serial==parallel wire_hash "
-       "invariant."},
       {"determinism/unordered-taint",
        "Iteration order of an unordered_* container flows through a local, "
        "parameter, or return value into an exporter/hash/report sink; the "

@@ -103,21 +103,13 @@ struct TypestateProtocol {
 };
 
 /// The layering manifest: which layer may include which, plus the
-/// hot-path file tags the perf/* rules key off.
+/// generation-checked containers and typestate protocols the
+/// flow-sensitive families key off.
 struct LayerManifest {
   /// layer -> allowed dependency layers ("*" = everything).
   std::vector<std::pair<std::string, std::vector<std::string>>> allow;
   /// Layers includable from anywhere (the audit spine and the umbrella).
   std::vector<std::string> universal;
-  /// Files (by include key, e.g. "kernel/nic.cpp") on the per-packet
-  /// datapath: the perf family seeds hot callables there and
-  /// perf/hot-path-alloc-interproc propagates the tag along call edges.
-  std::vector<std::string> hot_path;
-  /// Function names whose lambda arguments (and internal worker thunks)
-  /// run on pool threads; concurrency/parallel-shared-state roots its
-  /// reachability walk here. Defaults to {"parallel_for"} when the
-  /// manifest omits the key.
-  std::vector<std::string> parallel_entries;
   /// Generation-checked containers for the lifetime/* family.
   std::vector<GenerationChecked> generation_checked;
   /// Typestate protocols for protocol/typestate.
@@ -132,12 +124,6 @@ struct LayerManifest {
   bool is_universal(const std::string& layer) const {
     for (const auto& u : universal) {
       if (u == layer) return true;
-    }
-    return false;
-  }
-  bool is_hot_path(const std::string& include_key) const {
-    for (const auto& h : hot_path) {
-      if (h == include_key) return true;
     }
     return false;
   }
@@ -178,11 +164,6 @@ void run_units_rules(const Model& model, std::vector<Finding>* out);
 void run_scheduling_rules(const Model& model, std::vector<Finding>* out);
 void run_layering_rules(const Model& model, const LayerManifest& manifest,
                         std::vector<Finding>* out);
-void run_perf_rules(const Model& model, const LayerManifest& manifest,
-                    const SemanticModel& sem, std::vector<Finding>* out);
-void run_concurrency_rules(const Model& model, const LayerManifest& manifest,
-                           const SemanticModel& sem,
-                           std::vector<Finding>* out);
 void run_taint_rules(const Model& model, const SemanticModel& sem,
                      std::vector<Finding>* out);
 void run_lifetime_rules(const Model& model, const LayerManifest& manifest,

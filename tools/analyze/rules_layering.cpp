@@ -54,36 +54,6 @@ bool load_layer_manifest(const std::string& json_text, LayerManifest* out,
     }
   }
 
-  if (const JsonValue* hot = doc->find("hot_path")) {
-    if (!hot->is_array()) {
-      *error = "layers.json: \"hot_path\" must be an array";
-      return false;
-    }
-    for (const auto& h : hot->array) {
-      if (!h.is_string()) {
-        *error = "layers.json: \"hot_path\" has a non-string entry";
-        return false;
-      }
-      out->hot_path.push_back(h.str);
-    }
-  }
-
-  if (const JsonValue* entries = doc->find("parallel_entries")) {
-    if (!entries->is_array()) {
-      *error = "layers.json: \"parallel_entries\" must be an array";
-      return false;
-    }
-    for (const auto& e : entries->array) {
-      if (!e.is_string()) {
-        *error = "layers.json: \"parallel_entries\" has a non-string entry";
-        return false;
-      }
-      out->parallel_entries.push_back(e.str);
-    }
-  } else {
-    out->parallel_entries.push_back("parallel_for");
-  }
-
   if (const JsonValue* gen = doc->find("generation_checked")) {
     if (!gen->is_array()) {
       *error = "layers.json: \"generation_checked\" must be an array";

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "cache.hpp"
 #include "lexer.hpp"
 
 namespace quicsteps::analyze {
@@ -40,7 +39,7 @@ std::string relative_to(const fs::path& p, const fs::path& base) {
 
 bool build_model(const std::vector<std::string>& paths,
                  const std::string& root, const std::string& include_base,
-                 Model* model, std::string* error, TokenCache* cache) {
+                 Model* model, std::string* error) {
   std::vector<std::pair<fs::path, bool>> inputs;  // path, is_header
   for (const auto& raw : paths) {
     fs::path p = fs::path(raw).lexically_normal();
@@ -93,9 +92,7 @@ bool build_model(const std::vector<std::string>& paths,
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string content = buf.str();
-    f.content_hash = content_hash(content);
-    f.lex = cache != nullptr ? cache->lex_cached(content) : lex(content);
+    f.lex = lex(buf.str());
     model->files.push_back(std::move(f));
   }
 

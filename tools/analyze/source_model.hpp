@@ -1,7 +1,6 @@
 // Per-file token streams plus the project-level include graph.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -18,8 +17,6 @@ struct SourceFile {
                             // ("sim/time.hpp"); empty when outside the base
   std::string layer;        // first directory of include_key; "" when flat
   bool is_header = false;
-  std::uint64_t content_hash = 0;  // FNV-1a 64 of the file bytes; feeds the
-                                   // whole-analysis result-cache key
   LexResult lex;
 };
 
@@ -39,8 +36,6 @@ struct Model {
   }
 };
 
-class TokenCache;
-
 /// Loads and lexes every C++ source under `paths` (files or directories,
 /// recursive; .hpp/.h/.cpp/.cc), skipping directories named "testdata" —
 /// fixture trees hold deliberate violations and must never leak into a
@@ -50,12 +45,10 @@ class TokenCache;
 /// the include base derive their layer from rel_path's first component so
 /// self-hosted trees (tools/analyze) still carry a layer. Files are
 /// sorted by rel_path so every downstream artifact (text report, SARIF,
-/// baseline matching) is order-stable. When `cache` is non-null, lexing
-/// goes through it (cache.hpp). Returns false and sets `*error` when a
-/// path does not exist.
+/// baseline matching) is order-stable. Returns false and sets `*error`
+/// when a path does not exist.
 bool build_model(const std::vector<std::string>& paths,
                  const std::string& root, const std::string& include_base,
-                 Model* model, std::string* error,
-                 TokenCache* cache = nullptr);
+                 Model* model, std::string* error);
 
 }  // namespace quicsteps::analyze
