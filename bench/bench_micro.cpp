@@ -10,8 +10,6 @@
 #include "kernel/qdisc_tbf.hpp"
 #include "metrics/capture_analysis.hpp"
 #include "net/packet_slab.hpp"
-#include "metrics/gap_analyzer.hpp"
-#include "metrics/train_analyzer.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/quantile_sketch.hpp"
 #include "obs/time_series.hpp"
@@ -301,28 +299,6 @@ std::vector<net::Packet> synthetic_capture(int n) {
   }
   return capture;
 }
-
-void BM_GapAnalysis(benchmark::State& state) {
-  auto capture = synthetic_capture(static_cast<int>(state.range(0)));
-  metrics::GapAnalyzer analyzer;
-  for (auto _ : state) {
-    auto report = analyzer.analyze(capture);
-    benchmark::DoNotOptimize(report.back_to_back_fraction);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GapAnalysis)->Arg(100000);
-
-void BM_TrainAnalysis(benchmark::State& state) {
-  auto capture = synthetic_capture(static_cast<int>(state.range(0)));
-  metrics::TrainAnalyzer analyzer;
-  for (auto _ : state) {
-    auto report = analyzer.analyze(capture);
-    benchmark::DoNotOptimize(report.total_packets);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TrainAnalysis)->Arg(100000);
 
 void BM_CaptureAnalysisSinglePass(benchmark::State& state) {
   // The CaptureAnalyzer facade: all four per-run reports from one walk.

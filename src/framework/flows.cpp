@@ -120,10 +120,6 @@ void Network::start() {
   }
 }
 
-void Network::set_trace(obs::TraceBus& bus) {
-  set_trace(bus, obs::FlowSampler());
-}
-
 void Network::set_trace(obs::TraceBus& bus, const obs::FlowSampler& sampler) {
   bus.set_sampler(sampler);
   for (std::size_t i = 0; i < handles_.size(); ++i) {
@@ -430,15 +426,11 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
     reg.add_counter(flow_prefix + "pacer_deferrals",
                     flow_result.pacer_deferrals);
     if (flow_result.trace != nullptr) {
-      // Streaming digest — aggregate-identical to build_timelines +
-      // count_complete + stage_errors, minus the per-packet materialization
-      // (the dominant traced-run overhead before the batched-datapath PR).
-      const obs::TraceSummary summary =
-          obs::summarize_trace(*flow_result.trace);
+      obs::TraceSummary summary = obs::summarize_trace(*flow_result.trace);
       reg.set_gauge(flow_prefix + "complete_chains", summary.complete_chains);
-      for (const obs::StageErrorReport& se : summary.errors) {
-        reg.histogram(flow_prefix + "pacing_error/" +
-                      obs::to_string(se.stage)) = se.error_us;
+      for (obs::StageErrorReport& se : summary.errors) {
+        reg.sketch(flow_prefix + "pacing_error/" + obs::to_string(se.stage)) =
+            std::move(se.error_us);
       }
     }
   }

@@ -86,7 +86,7 @@ struct MultiFlowResult {
   net::CountersTable counters;
   /// Everything the run measured about itself: counter-table gauges,
   /// event-loop profile per event class, per-flow pacer ledgers and drop
-  /// attribution, (when tracing) per-stage pacing-error histograms, and
+  /// attribution, (when tracing) per-stage pacing-error sketches, and
   /// (when telemetry is on) the fleet quantile sketches
   /// "fleet/pacing_error_us/wire" and "fleet/fct_us".
   obs::MetricsRegistry metrics;
@@ -162,14 +162,13 @@ class Network {
   net::CountersTable counters_table() const;
   check::ConservationAuditor conservation_auditor() const;
 
-  /// Installs tracing on every host and the shared path. Component ids are
-  /// assigned in wiring order (hosts in flows[] order, then the path), so
-  /// the table is a pure function of the config.
-  void set_trace(obs::TraceBus& bus);
-  /// Sampled variant: hosts whose flow id the sampler rejects keep a null
-  /// bus (their sender-side spans cost nothing); the shared path is always
-  /// wired and the bus filters its per-flow packets via the sampler. The
-  /// component table stays a pure function of (config, seed).
+  /// Installs tracing on every sampled host and the shared path. Component
+  /// ids are assigned in wiring order (hosts in flows[] order, then the
+  /// path). Hosts whose flow id the sampler rejects keep a null bus (their
+  /// sender-side spans cost nothing); the shared path is always wired and
+  /// the bus filters its per-flow packets via the sampler. The component
+  /// table stays a pure function of (config, seed); a default FlowSampler
+  /// traces every flow.
   void set_trace(obs::TraceBus& bus, const obs::FlowSampler& sampler);
 
  private:

@@ -11,8 +11,9 @@ void CaptureAnalyzer::add(const net::Packet& pkt) {
     return;
   }
 
-  // Precision offset (PrecisionAnalyzer semantics: GSO segments beyond the
-  // first carry no per-packet expectation and are skipped).
+  // Precision offset. GSO hides per-packet expectations (one timestamp per
+  // buffer), so the paper measures precision without GSO; segments beyond
+  // the first carry no expectation of their own and are skipped.
   if (!(pkt.gso_buffer_id != 0 && pkt.gso_segment_index != 0)) {
     const sim::Duration offset = pkt.wire_time - pkt.expected_send_time;
     if (config_.lite) {
@@ -34,7 +35,6 @@ void CaptureAnalyzer::add(const net::Packet& pkt) {
     if (gap < config_.train_threshold) {
       ++current_train_;
     } else {
-      if (!config_.lite) train_lengths_.push_back(current_train_);
       packets_by_length_[current_train_] +=
           static_cast<std::int64_t>(current_train_);
       current_train_ = 1;
@@ -61,23 +61,20 @@ CaptureAnalysis CaptureAnalyzer::finish() const {
         config_.lite ? gap_stream_.summary() : summarize(out.gaps.gaps_ms);
   }
 
-  out.trains.train_lengths = train_lengths_;  // empty in lite mode
   out.trains.packets_by_length = packets_by_length_;
   if (data_packets_ > 0) {
     // Close the open train without disturbing the incremental state.
-    if (!config_.lite) out.trains.train_lengths.push_back(current_train_);
     out.trains.packets_by_length[current_train_] +=
         static_cast<std::int64_t>(current_train_);
   }
   out.trains.total_packets = data_packets_;
 
-  out.precision.offsets_ms = offsets_ms_;  // empty in lite mode
   if (config_.lite) {
     out.precision.samples = offset_stream_.count();
     out.precision.summary_ms = offset_stream_.summary();
   } else {
-    out.precision.samples = out.precision.offsets_ms.size();
-    out.precision.summary_ms = summarize(out.precision.offsets_ms);
+    out.precision.samples = offsets_ms_.size();
+    out.precision.summary_ms = summarize(offsets_ms_);
   }
   out.precision.precision_ms = out.precision.summary_ms.stddev;
 

@@ -1,14 +1,11 @@
-// Single-pass capture analysis.
+// Single-pass capture analysis — the only producer of the capture reports.
 //
 // Runner::run_once needs four reports from the same tap capture: inter-
 // packet gaps, packet trains, pacing precision, and the wire data-packet
-// count. The standalone analyzers each re-walk the capture (and two of
-// them re-extract the data timestamps), so a large transfer was scanned
-// four times. CaptureAnalyzer folds all four into one incremental pass:
-// feed packets with add() — directly from WireTap::set_on_packet, or via
+// count. CaptureAnalyzer folds all four into one incremental pass: feed
+// packets with add() — directly from WireTap::set_on_packet, or via
 // analyze() over a stored capture — and collect every report at the end
-// with finish(). Each report is bit-identical to its standalone analyzer's
-// output for the same configuration.
+// with finish().
 #pragma once
 
 #include <cstdint>
@@ -37,9 +34,10 @@ class CaptureAnalyzer {
   struct Config {
     /// Only packets of this flow (and data kind) are analyzed.
     std::uint32_t flow = 1;
-    /// Gaps at/below this bound count as back-to-back (GapAnalyzer).
+    /// Gaps at/below this bound count as back-to-back. The theoretical
+    /// minimum at 1 Gbit/s is ~12 us; 30 us absorbs timestamp jitter.
     sim::Duration back_to_back_bound = sim::Duration::micros(30);
-    /// Gaps below this threshold chain packets into a train (TrainAnalyzer).
+    /// The paper's threshold: gaps < 0.1 ms chain packets into one train.
     sim::Duration train_threshold = sim::Duration::micros(100);
     /// Lite mode: stream gap/offset samples through Welford accumulators
     /// instead of retaining them — O(1) memory per flow, for fabric-scale
@@ -72,7 +70,6 @@ class CaptureAnalyzer {
   std::vector<double> offsets_ms_;
   StreamingSummary gap_stream_;
   StreamingSummary offset_stream_;
-  std::vector<std::size_t> train_lengths_;   // closed trains only
   std::map<std::size_t, std::int64_t> packets_by_length_;
   std::size_t b2b_gaps_ = 0;
   std::size_t below_1500us_gaps_ = 0;

@@ -1,14 +1,13 @@
-// Inter-packet gap analysis (paper Figures 2, 4, 5, 6, left panels).
+// Inter-packet gap report (paper Figures 2, 4, 5, 6, left panels).
 //
-// Operates on the sniffer capture: wire timestamps of the server's DATA
-// packets only (ACKs flow the other way and handshake packets are not part
-// of the steady transfer).
+// Computed by CaptureAnalyzer from the sniffer capture: wire timestamps of
+// the server's DATA packets only (ACKs flow the other way and handshake
+// packets are not part of the steady transfer).
 #pragma once
 
 #include <vector>
 
 #include "metrics/stats.hpp"
-#include "net/packet.hpp"
 
 namespace quicsteps::metrics {
 
@@ -23,32 +22,6 @@ struct GapReport {
   Summary summary_ms;
 
   Cdf cdf() const { return Cdf(gaps_ms); }
-};
-
-class GapAnalyzer {
- public:
-  struct Config {
-    /// Gaps at/below this bound count as back-to-back. The theoretical
-    /// minimum at 1 Gbit/s is ~12 us; 30 us absorbs timestamp jitter.
-    sim::Duration back_to_back_bound = sim::Duration::micros(30);
-    /// Only packets of this flow and kind are analyzed.
-    std::uint32_t flow = 1;
-  };
-
-  GapAnalyzer() : GapAnalyzer(Config{}) {}
-  explicit GapAnalyzer(Config config) : config_(config) {}
-
-  /// Analyzes a wire capture (must be in wire order, as WireTap records).
-  GapReport analyze(const std::vector<net::Packet>& capture) const;
-
-  /// Extracts the data-packet wire times this analyzer would use.
-  std::vector<sim::Time> data_times(
-      const std::vector<net::Packet>& capture) const;
-
- private:
-  bool relevant(const net::Packet& pkt) const;
-
-  Config config_;
 };
 
 }  // namespace quicsteps::metrics

@@ -1,42 +1,25 @@
-// Pacing precision (paper Section 4.4).
+// Pacing precision report (paper Section 4.4).
 //
 // The paper compares the sender's intended per-packet send timestamp
 // (logged by the quiche server) with the actual wire timestamp from the
 // sniffer, and reports the STANDARD DEVIATION of the differences — the
 // mean is meaningless because server and sniffer clocks are unsynchronized
 // there. Our simulated clocks ARE synchronized, but we keep the same
-// metric for comparability.
+// metric for comparability. Computed by CaptureAnalyzer.
 #pragma once
 
-#include <vector>
+#include <cstddef>
 
 #include "metrics/stats.hpp"
-#include "net/packet.hpp"
 
 namespace quicsteps::metrics {
 
 struct PrecisionReport {
-  /// wire_time - expected_send_time per packet, in milliseconds.
-  std::vector<double> offsets_ms;
+  /// Summary of wire_time - expected_send_time per packet, in ms.
   Summary summary_ms;
   /// The paper's headline number: stddev of the offsets.
   double precision_ms = 0.0;
   std::size_t samples = 0;
-};
-
-class PrecisionAnalyzer {
- public:
-  struct Config {
-    std::uint32_t flow = 1;
-  };
-
-  PrecisionAnalyzer() : PrecisionAnalyzer(Config{}) {}
-  explicit PrecisionAnalyzer(Config config) : config_(config) {}
-
-  PrecisionReport analyze(const std::vector<net::Packet>& capture) const;
-
- private:
-  Config config_;
 };
 
 }  // namespace quicsteps::metrics

@@ -1,55 +1,38 @@
-// Packet-train analysis (paper Figures 3, 4, 5, 6, right panels).
+// Packet-train report (paper Figures 3, 4, 5, 6, right panels).
 //
 // Definition from the paper: all consecutive packets with an inter-packet
 // gap below 0.1 ms each form one packet train; a single isolated packet is
 // a train of length one. The headline metric is the distribution of
 // PACKETS across train lengths (not the distribution of trains), which is
 // how the paper weights its percentages ("packet trains consisting of five
-// packets or less contain 99.9 % of the packets").
+// packets or less contain 99.9 % of the packets"). Computed by
+// CaptureAnalyzer.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <vector>
-
-#include "metrics/gap_analyzer.hpp"
-#include "net/packet.hpp"
 
 namespace quicsteps::metrics {
 
 struct TrainReport {
-  /// packets_in_trains[L] = number of PACKETS that sit in trains of
+  /// packets_by_length[L] = number of PACKETS that sit in trains of
   /// length L.
   std::map<std::size_t, std::int64_t> packets_by_length;
-  std::vector<std::size_t> train_lengths;  // one entry per train
   std::int64_t total_packets = 0;
 
   /// Fraction of packets in trains of length <= n.
-  double fraction_in_trains_up_to(std::size_t n) const;
-  std::size_t max_train_length() const;
-  /// Mean train length (packet-weighted = paper's view when false).
-  double mean_train_length() const;
-  /// CDF over per-packet train lengths.
-  Cdf packet_train_cdf() const;
-};
-
-class TrainAnalyzer {
- public:
-  struct Config {
-    /// The paper's threshold: gaps < 0.1 ms chain packets into one train.
-    sim::Duration threshold = sim::Duration::micros(100);
-    std::uint32_t flow = 1;
-  };
-
-  TrainAnalyzer() : TrainAnalyzer(Config{}) {}
-  explicit TrainAnalyzer(Config config) : config_(config) {}
-
-  TrainReport analyze(const std::vector<net::Packet>& capture) const;
-  /// Analyze a pre-extracted, ordered timestamp series.
-  TrainReport analyze_times(const std::vector<sim::Time>& times) const;
-
- private:
-  Config config_;
+  double fraction_in_trains_up_to(std::size_t n) const {
+    if (total_packets == 0) return 0.0;
+    std::int64_t covered = 0;
+    for (const auto& [len, packets] : packets_by_length) {
+      if (len <= n) covered += packets;
+    }
+    return static_cast<double>(covered) / static_cast<double>(total_packets);
+  }
+  std::size_t max_train_length() const {
+    return packets_by_length.empty() ? 0 : packets_by_length.rbegin()->first;
+  }
 };
 
 }  // namespace quicsteps::metrics

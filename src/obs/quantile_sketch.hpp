@@ -1,14 +1,17 @@
-// QuantileSketch: HDR-style log-linear quantile sketch for fleet tails.
+// QuantileSketch: HDR-style log-linear quantile sketch — the one
+// distribution type of the metrics registry (per-run, per-stage pacing
+// errors and fleet tails alike).
 //
-// The fixed-bound obs::Histogram answers the paper's whole-run questions
-// (decade buckets around zero) but cannot produce p99/p999 at fleet
-// scale: its bounds clip and its resolution is a decade. This sketch
-// buckets |value| log-linearly — each power-of-two octave is split into
-// 32 linear sub-buckets (kSubBits = 5), so any representative is within
-// a 1/32 ≈ 3.1% relative error of the true value — over the full signed
-// int64 range, with an exact region for small magnitudes (|v| < 64, one
-// bucket per integer). Pacing errors in microseconds and flow-completion
-// times both fit: microsecond-exact near zero, 3% at the tail.
+// A fixed-bound histogram clips at its edges and resolves in decades, so
+// it cannot produce p99/p999 at fleet scale. This sketch buckets |value|
+// log-linearly — each power-of-two octave is split into 32 linear
+// sub-buckets (kSubBits = 5), so any representative is within a 1/32 ≈
+// 3.1% relative error of the true value — over the full signed int64
+// range, with an exact region for small magnitudes (|v| < 64, one bucket
+// per integer). Pacing errors in microseconds and flow-completion
+// times both fit: microsecond-exact near zero, 3% at the tail. count()
+// and sum() are exact integers, so a mean derived from them is exact
+// too, whatever the bucketing.
 //
 // Determinism and merging: buckets hold integer counts, so merging is an
 // elementwise add — commutative and associative — and a sketch merged

@@ -396,14 +396,6 @@ TEST(AnalyzeSymbols, IndexClassifiesTheSemanticsFixture) {
   ASSERT_NE(limit, nullptr);
   EXPECT_TRUE(limit->is_const);
 
-  const Symbol* atomic_hits = find_symbol(index, "atomic_hits");
-  ASSERT_NE(atomic_hits, nullptr);
-  EXPECT_TRUE(atomic_hits->is_atomic);
-
-  const Symbol* gate = find_symbol(index, "gate");
-  ASSERT_NE(gate, nullptr);
-  EXPECT_TRUE(gate->is_mutex);
-
   const Symbol* size = find_symbol(index, "size");
   ASSERT_NE(size, nullptr);
   EXPECT_EQ(size->kind, Symbol::Kind::kFunction);

@@ -1,12 +1,12 @@
-// Unit tests for the metrics toolkit: summaries, CDFs, gap analysis,
-// packet-train analysis (the paper's 0.1 ms rule), precision, and goodput.
+// Unit tests for the metrics toolkit: summaries, CDFs, CaptureAnalyzer's
+// gap, packet-train (the paper's 0.1 ms rule) and precision reports, and
+// goodput.
 #include <gtest/gtest.h>
 
-#include "metrics/gap_analyzer.hpp"
+#include "framework/aggregate.hpp"
+#include "metrics/capture_analysis.hpp"
 #include "metrics/goodput.hpp"
-#include "metrics/precision.hpp"
 #include "metrics/stats.hpp"
-#include "metrics/train_analyzer.hpp"
 
 namespace quicsteps::metrics {
 namespace {
@@ -72,61 +72,67 @@ TEST(Cdf, AsciiRenderingContainsLegend) {
   EXPECT_NE(out.find("ms"), std::string::npos);
 }
 
-TEST(GapAnalyzerTest, ComputesGapsAndFractions) {
+CaptureAnalysis analyze(const std::vector<Packet>& capture) {
+  return CaptureAnalyzer().analyze(capture);
+}
+
+TEST(CaptureGaps, ComputesGapsAndFractions) {
   // Gaps: 0.012 ms (b2b), 0.5 ms, 2.0 ms.
   std::vector<Packet> capture = {wire_packet(0.0), wire_packet(0.012),
                                  wire_packet(0.512), wire_packet(2.512)};
-  auto report = GapAnalyzer().analyze(capture);
+  auto report = analyze(capture).gaps;
   ASSERT_EQ(report.gaps_ms.size(), 3u);
   EXPECT_NEAR(report.back_to_back_fraction, 1.0 / 3.0, 1e-9);
   EXPECT_NEAR(report.below_1500us_fraction, 2.0 / 3.0, 1e-9);
 }
 
-TEST(GapAnalyzerTest, FiltersByFlowAndKind) {
+TEST(CaptureGaps, FiltersByFlowAndKind) {
   std::vector<Packet> capture = {
       wire_packet(0.0), wire_packet(1.0, 2),  // other flow
       wire_packet(2.0, 1, net::PacketKind::kQuicAck),  // ack, ignored
       wire_packet(3.0)};
-  auto times = GapAnalyzer().data_times(capture);
-  EXPECT_EQ(times.size(), 2u);
+  auto analysis = analyze(capture);
+  EXPECT_EQ(analysis.wire_data_packets, 2);
+  ASSERT_EQ(analysis.gaps.gaps_ms.size(), 1u);
+  EXPECT_DOUBLE_EQ(analysis.gaps.gaps_ms[0], 3.0);
 }
 
-TEST(GapAnalyzerTest, EmptyAndSingletonCaptures) {
-  EXPECT_TRUE(GapAnalyzer().analyze({}).gaps_ms.empty());
-  EXPECT_TRUE(GapAnalyzer().analyze({wire_packet(0.0)}).gaps_ms.empty());
+TEST(CaptureGaps, EmptyAndSingletonCaptures) {
+  EXPECT_TRUE(analyze({}).gaps.gaps_ms.empty());
+  EXPECT_TRUE(analyze({wire_packet(0.0)}).gaps.gaps_ms.empty());
 }
 
-TEST(TrainAnalyzerTest, PaperRuleSplitsAtPointOneMs) {
+TEST(CaptureTrains, PaperRuleSplitsAtPointOneMs) {
   // Train of 3 (gaps 0.05 ms), then 0.3 ms gap, then train of 2.
   std::vector<Packet> capture = {wire_packet(0.00), wire_packet(0.05),
                                  wire_packet(0.10), wire_packet(0.40),
                                  wire_packet(0.45)};
-  auto report = TrainAnalyzer().analyze(capture);
+  auto report = analyze(capture).trains;
   EXPECT_EQ(report.total_packets, 5);
-  ASSERT_EQ(report.train_lengths.size(), 2u);
-  EXPECT_EQ(report.train_lengths[0], 3u);
-  EXPECT_EQ(report.train_lengths[1], 2u);
   // Packets-by-length weighting: 3 packets in length-3, 2 in length-2.
+  ASSERT_EQ(report.packets_by_length.size(), 2u);
   EXPECT_EQ(report.packets_by_length.at(3), 3);
   EXPECT_EQ(report.packets_by_length.at(2), 2);
   EXPECT_DOUBLE_EQ(report.fraction_in_trains_up_to(2), 0.4);
   EXPECT_DOUBLE_EQ(report.fraction_in_trains_up_to(5), 1.0);
 }
 
-TEST(TrainAnalyzerTest, SinglePacketIsTrainOfOne) {
-  auto report = TrainAnalyzer().analyze({wire_packet(0.0)});
+TEST(CaptureTrains, SinglePacketIsTrainOfOne) {
+  auto report = analyze({wire_packet(0.0)}).trains;
   EXPECT_EQ(report.total_packets, 1);
   EXPECT_EQ(report.max_train_length(), 1u);
 }
 
-TEST(TrainAnalyzerTest, ExactThresholdBreaksTrain) {
-  // Gap of exactly 0.1 ms: the paper's rule is "< 0.1 ms", so it breaks.
+TEST(CaptureTrains, ExactThresholdBreaksTrain) {
+  // Gap of exactly 0.1 ms: the paper's rule is "< 0.1 ms", so it breaks
+  // into two trains of one.
   std::vector<Packet> capture = {wire_packet(0.0), wire_packet(0.1)};
-  auto report = TrainAnalyzer().analyze(capture);
-  EXPECT_EQ(report.train_lengths.size(), 2u);
+  auto report = analyze(capture).trains;
+  ASSERT_EQ(report.packets_by_length.size(), 1u);
+  EXPECT_EQ(report.packets_by_length.at(1), 2);
 }
 
-TEST(TrainAnalyzerTest, PacketWeightedCdf) {
+TEST(CaptureTrains, PacketWeightedCdf) {
   // 1 train of 4 + 4 singletons: packet-weighted CDF at length 1 = 0.5.
   std::vector<Packet> capture;
   double t = 0.0;
@@ -138,7 +144,9 @@ TEST(TrainAnalyzerTest, PacketWeightedCdf) {
     t += 1.0;
     capture.push_back(wire_packet(t));
   }
-  auto cdf = TrainAnalyzer().analyze(capture).packet_train_cdf();
+  framework::RunResult run;
+  run.trains = analyze(capture).trains;
+  auto cdf = framework::aggregate("cdf", {run}).train_cdf();
   EXPECT_DOUBLE_EQ(cdf.fraction_below(1.0), 0.5);
   EXPECT_DOUBLE_EQ(cdf.fraction_below(4.0), 1.0);
 }
@@ -152,7 +160,7 @@ TEST(PrecisionTest, StddevOfOffsets) {
         pkt.wire_time - Duration::micros(i % 2 == 0 ? 100 : -100);
     capture.push_back(pkt);
   }
-  auto report = PrecisionAnalyzer().analyze(capture);
+  auto report = analyze(capture).precision;
   EXPECT_EQ(report.samples, 4u);
   EXPECT_NEAR(report.summary_ms.mean, 0.0, 1e-9);
   EXPECT_NEAR(report.precision_ms, 0.11547, 1e-4);
@@ -165,7 +173,7 @@ TEST(PrecisionTest, SkipsNonLeadGsoSegments) {
   Packet tail = wire_packet(0.012);
   tail.gso_buffer_id = 1;
   tail.gso_segment_index = 1;
-  auto report = PrecisionAnalyzer().analyze({lead, tail});
+  auto report = analyze({lead, tail}).precision;
   EXPECT_EQ(report.samples, 1u);
 }
 

@@ -1,8 +1,10 @@
 // Observability spine tests (src/obs/): TraceBus mechanics, GSO span
-// expansion, Histogram/MetricsRegistry determinism, timeline
-// reconstruction + per-stage pacing error, byte-pinned exporter goldens,
-// and a traced end-to-end run whose span chains must be complete and must
-// agree with the wire capture and metrics::PrecisionAnalyzer.
+// expansion, MetricsRegistry determinism, the summarize_trace digest
+// (packet groups, complete chains, per-stage pacing error), byte-pinned
+// exporter goldens, and a traced end-to-end run whose span chains must be
+// complete and must agree with the wire capture and its CaptureAnalyzer
+// precision report.
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -92,47 +94,7 @@ TEST(TraceBus, PublishPacketSpanWithNullBusIsANoOp) {
                            span_packet(1, 100, 1, 1200));
 }
 
-// ----------------------------------------------- Histogram and registry
-
-TEST(Histogram, BucketsByInclusiveUpperEdgeWithOverflow) {
-  obs::Histogram h({0, 10});
-  h.observe(5);
-  h.observe(20);
-  EXPECT_EQ(h.to_string(),
-            "count=2 sum=25 min=5 max=20 under=0 le0=0 le10=1 over=1");
-}
-
-TEST(Histogram, DefaultPacingBoundsCoverBothSigns) {
-  obs::Histogram h;
-  h.observe(-20'000);  // below the lowest edge -> explicit underflow
-  h.observe(0);
-  h.observe(200'000);  // beyond the highest edge -> overflow
-  EXPECT_EQ(h.count(), 3);
-  EXPECT_EQ(h.min(), -20'000);
-  EXPECT_EQ(h.max(), 200'000);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.bucket_counts().front(), 0);  // not clipped into a bucket
-  EXPECT_EQ(h.overflow(), 1);
-  EXPECT_EQ(h.bucket_counts().back(), 1);
-}
-
-TEST(Histogram, UnderAndOverflowAreNeverSilent) {
-  // The regression this guards: out-of-range mass used to be invisible in
-  // the rendering (underflow widened the first bucket, overflow hid
-  // behind "rest="). Both ends must show up in to_string verbatim.
-  obs::Histogram h({-10, 10});
-  h.observe(-50);
-  h.observe(-50);
-  h.observe(0);
-  h.observe(99);
-  EXPECT_EQ(h.underflow(), 2);
-  EXPECT_EQ(h.overflow(), 1);
-  // min/max/count/sum still include the out-of-range samples.
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_EQ(h.sum(), -1);
-  EXPECT_EQ(h.to_string(),
-            "count=4 sum=-1 min=-50 max=99 under=2 le-10=0 le10=1 over=1");
-}
+// ------------------------------------------------------------ registry
 
 TEST(MetricsRegistry, EmitsSortedAcrossKindsRegardlessOfInsertionOrder) {
   obs::MetricsRegistry reg;
@@ -140,12 +102,11 @@ TEST(MetricsRegistry, EmitsSortedAcrossKindsRegardlessOfInsertionOrder) {
   reg.add_counter("zz/events", 3);  // counters accumulate
   reg.set_gauge("aa/depth", 7);
   reg.set_gauge("aa/depth", 9);  // gauges last-write-win
-  reg.histogram("mm/err").observe(5);
+  reg.sketch("mm/err").observe(5);
   EXPECT_EQ(reg.to_string(),
             "aa/depth: gauge 9\n"
-            "mm/err: histogram count=1 sum=5 min=5 max=5 under=0 "
-            "le-10000=0 le-1000=0 le-100=0 le-10=0 le0=0 le10=1 le100=0 "
-            "le1000=0 le10000=0 le100000=0 over=0\n"
+            "mm/err: sketch count=1 sum=5 min=5 max=5 p50=5 p90=5 p99=5 "
+            "p999=5\n"
             "zz/events: counter 5\n");
 }
 
@@ -166,7 +127,7 @@ TEST(MetricsRegistry, CountersTableFoldsIntoPerRowGauges) {
   EXPECT_EQ(reg.gauges().at("bottleneck/tbf/queue_peak"), 2);
 }
 
-// ------------------------------------------------ timeline reconstruction
+// ------------------------------------------------------ summarize_trace
 
 TraceData two_packet_trace() {
   TraceData data;
@@ -187,31 +148,86 @@ TraceData two_packet_trace() {
   return data;
 }
 
-TEST(PathTimeline, GroupsByFlowAndPacketIdInDeterministicOrder) {
-  const auto timelines = obs::build_timelines(two_packet_trace());
-  ASSERT_EQ(timelines.size(), 2u);
-  EXPECT_EQ(timelines[0].flow, 0u);  // flow-major order
-  EXPECT_EQ(timelines[0].packet_id, 9u);
-  EXPECT_FALSE(timelines[0].complete());
-  EXPECT_EQ(timelines[1].flow, 1u);
-  EXPECT_EQ(timelines[1].packet_id, 42u);
-  EXPECT_EQ(timelines[1].spans.size(), 3u);
-  EXPECT_EQ(timelines[1].intended.ns(), 90'000);
-  EXPECT_TRUE(timelines[1].complete());
-  EXPECT_FALSE(timelines[1].dropped());
-  EXPECT_EQ(timelines[1].stage_time(TraceStage::kWire).ns(), 150'000);
-  EXPECT_EQ(timelines[1].stage_time(TraceStage::kQdiscDrop),
-            sim::Time::infinite());
-  EXPECT_EQ(obs::count_complete(timelines), 1);
+// Reference model of the digest, one std::map entry per (flow, packet id):
+// the stage mask, the first non-zero pacer intent and the first wire time.
+struct ModelPacket {
+  unsigned mask = 0;
+  sim::Time intended;
+  sim::Time wire = sim::Time::infinite();
+  bool has(TraceStage stage) const {
+    return ((mask >> static_cast<unsigned>(stage)) & 1u) != 0;
+  }
+};
+using TraceModel =
+    std::map<std::pair<std::uint32_t, std::uint64_t>, ModelPacket>;
 
-  const auto flow1 = obs::build_timelines(two_packet_trace(), 1);
-  ASSERT_EQ(flow1.size(), 1u);
-  EXPECT_EQ(flow1[0].packet_id, 42u);
+TraceModel model_trace(const TraceData& data) {
+  TraceModel model;
+  for (const SpanEvent& ev : data.events) {
+    ModelPacket& pkt = model[{ev.flow, ev.packet_id}];
+    if (ev.stage == TraceStage::kWire && !pkt.has(TraceStage::kWire)) {
+      pkt.wire = ev.at;
+    }
+    pkt.mask |= 1u << static_cast<unsigned>(ev.stage);
+    if (pkt.intended.ns() == 0) pkt.intended = ev.intended;
+  }
+  return model;
+}
+
+// The digest must agree with the model on every aggregate it reports:
+// packet and complete-chain counts, and per-stage error count and sum.
+void expect_summary_matches_model(const TraceData& data,
+                                  const obs::TraceSummary& summary) {
+  const TraceModel model = model_trace(data);
+  std::int64_t complete = 0;
+  for (const auto& [key, pkt] : model) {
+    complete += pkt.has(TraceStage::kPacerRelease) &&
+                pkt.has(TraceStage::kDelivery);
+  }
+  std::map<TraceStage, std::pair<std::int64_t, std::int64_t>> errors;
+  for (const SpanEvent& ev : data.events) {
+    const sim::Time intended = model.at({ev.flow, ev.packet_id}).intended;
+    if (intended.ns() == 0) continue;
+    ++errors[ev.stage].first;
+    errors[ev.stage].second += (ev.at - intended).us();
+  }
+  EXPECT_EQ(summary.packets, static_cast<std::int64_t>(model.size()));
+  EXPECT_EQ(summary.complete_chains, complete);
+  ASSERT_EQ(summary.errors.size(), errors.size());
+  auto it = errors.begin();
+  for (const obs::StageErrorReport& report : summary.errors) {
+    EXPECT_EQ(report.stage, it->first);  // path order
+    EXPECT_EQ(report.error_us.count(), it->second.first);
+    EXPECT_EQ(report.error_us.sum(), it->second.second);
+    ++it;
+  }
+}
+
+TEST(PathTimeline, GroupsByFlowAndPacketIdInDeterministicOrder) {
+  const obs::TraceSummary summary = obs::summarize_trace(two_packet_trace());
+  EXPECT_EQ(summary.packets, 2);
+  EXPECT_EQ(summary.complete_chains, 1);
+
+  // The same packet id under another flow is another packet; span order
+  // does not change any aggregate.
+  TraceData data = two_packet_trace();
+  data.events.push_back(obs::make_span(TraceStage::kWire, 1,
+                                       sim::Time::from_ns(160'000),
+                                       span_packet(42, 7, 2, 1200)));
+  std::reverse(data.events.begin(), data.events.end());
+  const obs::TraceSummary reversed = obs::summarize_trace(data);
+  EXPECT_EQ(reversed.packets, 3);
+  EXPECT_EQ(reversed.complete_chains, 1);
+  ASSERT_EQ(reversed.errors.size(), summary.errors.size());
+  for (std::size_t i = 0; i < summary.errors.size(); ++i) {
+    EXPECT_EQ(reversed.errors[i].stage, summary.errors[i].stage);
+    EXPECT_EQ(reversed.errors[i].error_us.to_string(),
+              summary.errors[i].error_us.to_string());
+  }
 }
 
 TEST(PathTimeline, StageErrorsDiffAgainstIntentInPathOrder) {
-  const auto reports =
-      obs::stage_errors(obs::build_timelines(two_packet_trace()));
+  const auto reports = obs::summarize_trace(two_packet_trace()).errors;
   // Only the paced packet contributes; its three stages appear in path
   // order with exact microsecond errors (at - intended).
   ASSERT_EQ(reports.size(), 3u);
@@ -228,25 +244,9 @@ TEST(PathTimeline, StageErrorsDiffAgainstIntentInPathOrder) {
 }
 
 TEST(PathTimeline, SummarizeTraceMatchesTimelineDerivation) {
-  // The streaming digest must agree with the materialized derivation on
-  // every aggregate it replaces in the per-run metrics registry.
+  // The streaming digest agrees with the per-packet model derivation.
   const TraceData data = two_packet_trace();
-  const auto timelines = obs::build_timelines(data);
-  const auto reports = obs::stage_errors(timelines);
-  const obs::TraceSummary summary = obs::summarize_trace(data);
-
-  EXPECT_EQ(summary.complete_chains, obs::count_complete(timelines));
-  ASSERT_EQ(summary.errors.size(), reports.size());
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(summary.errors[i].stage, reports[i].stage);
-    EXPECT_EQ(summary.errors[i].error_us.count(),
-              reports[i].error_us.count());
-    EXPECT_EQ(summary.errors[i].error_us.sum(), reports[i].error_us.sum());
-    EXPECT_EQ(summary.errors[i].error_us.min(), reports[i].error_us.min());
-    EXPECT_EQ(summary.errors[i].error_us.max(), reports[i].error_us.max());
-    EXPECT_EQ(summary.errors[i].error_us.bucket_counts(),
-              reports[i].error_us.bucket_counts());
-  }
+  expect_summary_matches_model(data, obs::summarize_trace(data));
 }
 
 // -------------------------------------------------------- exporter goldens
@@ -331,65 +331,55 @@ TEST(TraceEndToEnd, EveryPacedPacketChainsToDeliveryOrDrop) {
   const auto run = Runner::run_once(traced_config(), 1);
   ASSERT_TRUE(run.completed);
   ASSERT_NE(run.trace, nullptr);
-  const auto timelines = obs::build_timelines(*run.trace);
+  const TraceModel model = model_trace(*run.trace);
 
   std::int64_t paced = 0;
   std::int64_t dropped = 0;
-  for (const auto& tl : timelines) {
-    if (!tl.has_stage(TraceStage::kPacerRelease)) continue;  // ACK / ctrl
+  for (const auto& [key, pkt] : model) {
+    if (!pkt.has(TraceStage::kPacerRelease)) continue;  // ACK / ctrl
     ++paced;
-    if (tl.dropped()) ++dropped;
+    const bool was_dropped = pkt.has(TraceStage::kQdiscDrop);
+    if (was_dropped) ++dropped;
     // The acceptance bar: a paced packet either reaches delivery with a
     // complete chain or its trace names the qdisc that dropped it.
-    EXPECT_TRUE(tl.complete() || tl.dropped())
-        << "flow " << tl.flow << " packet " << tl.packet_id
+    EXPECT_TRUE(pkt.has(TraceStage::kDelivery) || was_dropped)
+        << "flow " << key.first << " packet " << key.second
         << " vanished mid-path";
   }
   EXPECT_GT(paced, 0);
-  EXPECT_EQ(obs::count_complete(timelines), paced - dropped);
   EXPECT_EQ(paced, run.pacer_releases);
 
-  // The streaming digest agrees with the materialized derivation on a
-  // real span stream too (GSO trains, retransmissions, ACK spans).
+  // The streaming digest agrees with the model on a real span stream too
+  // (GSO trains, retransmissions, ACK spans).
   const obs::TraceSummary summary = obs::summarize_trace(*run.trace);
-  EXPECT_EQ(summary.complete_chains, obs::count_complete(timelines));
-  const auto reports = obs::stage_errors(timelines);
-  ASSERT_EQ(summary.errors.size(), reports.size());
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(summary.errors[i].stage, reports[i].stage);
-    EXPECT_EQ(summary.errors[i].error_us.count(),
-              reports[i].error_us.count());
-    EXPECT_EQ(summary.errors[i].error_us.sum(), reports[i].error_us.sum());
-  }
+  EXPECT_EQ(summary.complete_chains, paced - dropped);
+  expect_summary_matches_model(*run.trace, summary);
 }
 
-TEST(TraceEndToEnd, WireSpansMatchTheCaptureAndPrecisionAnalyzer) {
+TEST(TraceEndToEnd, WireSpansMatchTheCaptureAnalyzer) {
   if (!obs::kTraceEnabled) {
     GTEST_SKIP() << "built with -DQUICSTEPS_TRACE=OFF";
   }
   const auto run = Runner::run_once(traced_config(), 1);
   ASSERT_NE(run.trace, nullptr);
   ASSERT_NE(run.capture, nullptr);
-  const auto timelines = obs::build_timelines(*run.trace);
-  std::map<std::pair<std::uint32_t, std::uint64_t>, const obs::PacketTimeline*>
-      by_key;
-  for (const auto& tl : timelines) by_key[{tl.flow, tl.packet_id}] = &tl;
+  const TraceModel model = model_trace(*run.trace);
 
   // Every captured wire packet has a kWire span at exactly its tap time.
   for (const net::Packet& pkt : *run.capture) {
-    const auto it = by_key.find({pkt.flow, pkt.id});
-    ASSERT_NE(it, by_key.end()) << "packet " << pkt.id << " untraced";
-    EXPECT_EQ(it->second->stage_time(TraceStage::kWire), pkt.wire_time);
+    const auto it = model.find({pkt.flow, pkt.id});
+    ASSERT_NE(it, model.end()) << "packet " << pkt.id << " untraced";
+    EXPECT_EQ(it->second.wire, pkt.wire_time);
   }
 
   // The wire-stage pacing-error statistics agree with the same offsets
   // computed independently from the capture, the way the paper's precision
-  // metric does (metrics::PrecisionAnalyzer). The reference below keeps
-  // the analyzer's selection but skips packets without a pacer intent —
-  // the trace layer reads expected_send_time == 0 as "none", while the
+  // metric does (metrics::CaptureAnalyzer). The reference below keeps the
+  // analyzer's selection but skips packets without a pacer intent — the
+  // trace layer reads expected_send_time == 0 as "none", while the
   // analyzer folds those initial-window packets in. Span errors truncate
   // to whole microseconds, hence the 1 us mean tolerance.
-  const auto reports = obs::stage_errors(timelines);
+  const auto reports = obs::summarize_trace(*run.trace).errors;
   const obs::StageErrorReport* wire = nullptr;
   for (const auto& report : reports) {
     if (report.stage == TraceStage::kWire) wire = &report;
@@ -408,7 +398,8 @@ TEST(TraceEndToEnd, WireSpansMatchTheCaptureAndPrecisionAnalyzer) {
   EXPECT_NEAR(wire->mean_us(),
               offset_sum_ms / static_cast<double>(intents) * 1000.0, 1.0);
   // And the analyzer itself sees exactly the extra no-intent packets.
-  const auto precision = metrics::PrecisionAnalyzer().analyze(*run.capture);
+  const auto precision =
+      metrics::CaptureAnalyzer().analyze(*run.capture).precision;
   EXPECT_GE(precision.samples, static_cast<std::size_t>(intents));
 }
 

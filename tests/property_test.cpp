@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "cc/cubic.hpp"
 #include "kernel/os_model.hpp"
@@ -43,10 +44,17 @@ const char* name_of(QdiscUnderTest q) {
   return "?";
 }
 
+// gtest labels each case with a hex dump of the whole parameter struct,
+// padding included, so uninitialised padding made the ctest names vary
+// from one test discovery to the next. `fill` occupies those bytes
+// explicitly (always zero); it plays no part in the run.
 struct QdiscProperty {
   QdiscUnderTest qdisc;
+  std::uint32_t fill = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<QdiscProperty>,
+              "QdiscProperty must have no padding for stable test names");
 
 class QdiscInvariants : public ::testing::TestWithParam<QdiscProperty> {
  protected:
@@ -152,16 +160,16 @@ TEST_P(QdiscInvariants, ConservationAndOrder) {
 INSTANTIATE_TEST_SUITE_P(
     AllQdiscs, QdiscInvariants,
     ::testing::Values(
-        QdiscProperty{QdiscUnderTest::kFifo, 1},
-        QdiscProperty{QdiscUnderTest::kFifo, 2},
-        QdiscProperty{QdiscUnderTest::kFq, 3},
-        QdiscProperty{QdiscUnderTest::kFq, 4},
-        QdiscProperty{QdiscUnderTest::kEtf, 5},
-        QdiscProperty{QdiscUnderTest::kEtf, 6},
-        QdiscProperty{QdiscUnderTest::kTbf, 7},
-        QdiscProperty{QdiscUnderTest::kTbf, 8},
-        QdiscProperty{QdiscUnderTest::kNetem, 9},
-        QdiscProperty{QdiscUnderTest::kFqCodel, 10}),
+        QdiscProperty{.qdisc = QdiscUnderTest::kFifo, .seed = 1},
+        QdiscProperty{.qdisc = QdiscUnderTest::kFifo, .seed = 2},
+        QdiscProperty{.qdisc = QdiscUnderTest::kFq, .seed = 3},
+        QdiscProperty{.qdisc = QdiscUnderTest::kFq, .seed = 4},
+        QdiscProperty{.qdisc = QdiscUnderTest::kEtf, .seed = 5},
+        QdiscProperty{.qdisc = QdiscUnderTest::kEtf, .seed = 6},
+        QdiscProperty{.qdisc = QdiscUnderTest::kTbf, .seed = 7},
+        QdiscProperty{.qdisc = QdiscUnderTest::kTbf, .seed = 8},
+        QdiscProperty{.qdisc = QdiscUnderTest::kNetem, .seed = 9},
+        QdiscProperty{.qdisc = QdiscUnderTest::kFqCodel, .seed = 10}),
     [](const auto& info) {
       return std::string(name_of(info.param.qdisc)) + "_seed" +
              std::to_string(info.param.seed);

@@ -91,6 +91,32 @@ TEST(QuantileSketch, NegativeValuesOrderBeforePositive) {
   EXPECT_EQ(sk.quantile(1.0), 40);
 }
 
+// Per-stage pacing errors are recorded in a QuantileSketch. Far outliers
+// at both ends (-10 s and +200 ms in microseconds) are never clipped or
+// hidden: they keep their own buckets at the extreme ranks, and
+// count/sum/min/max and the rendering carry them exactly.
+TEST(Histogram, UnderAndOverflowAreNeverSilent) {
+  QuantileSketch sk;
+  sk.observe(-50);
+  sk.observe(-5);
+  sk.observe(3);
+  sk.observe(40);
+  sk.observe(-10'000'000);
+  sk.observe(200'000);
+  EXPECT_EQ(sk.count(), 6);
+  EXPECT_EQ(sk.sum(), -10'000'000 - 50 - 5 + 3 + 40 + 200'000);
+  EXPECT_LE(sk.quantile(0.1), -10'000'000);
+  EXPECT_EQ(QuantileSketch::bucket_of(sk.quantile(0.1)),
+            QuantileSketch::bucket_of(-10'000'000));
+  EXPECT_EQ(sk.quantile(0.25), -50);
+  EXPECT_EQ(sk.quantile(0.75), 40);
+  EXPECT_GE(sk.quantile(1.0), 200'000);
+  EXPECT_EQ(QuantileSketch::bucket_of(sk.quantile(1.0)),
+            QuantileSketch::bucket_of(200'000));
+  EXPECT_NE(sk.to_string().find("min=-10000000 max=200000 "),
+            std::string::npos);
+}
+
 TEST(QuantileSketch, EmptySketchReportsZeros) {
   const QuantileSketch sk;
   EXPECT_EQ(sk.quantile(0.99), 0);
