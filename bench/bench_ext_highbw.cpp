@@ -27,9 +27,9 @@ struct RatePoint {
   double gbps;
 };
 
-long long highbw_mib() {
-  const char* mib = std::getenv("QUICSTEPS_HIGHBW_MIB");
-  return mib != nullptr ? std::atoll(mib) : 8ll;
+std::int64_t highbw_mib() {
+  return framework::env_whole_number("QUICSTEPS_HIGHBW_MIB", 1, 1 << 20)
+      .value_or(8);
 }
 
 framework::ExperimentConfig highbw_config(framework::StackKind stack,

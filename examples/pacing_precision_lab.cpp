@@ -1,5 +1,5 @@
-// Pacing precision lab: a low-level tour of the library. Builds the
-// topology by hand, attaches different senders (the ideal reference server
+// Pacing precision lab: a low-level tour of the library. Wires the
+// path by hand, attaches different senders (the ideal reference server
 // vs. the stack models), dials OS timing quality up and down, and measures
 // what reaches the wire — the experiment you'd run to answer "how good can
 // user-space pacing get on my host?".
@@ -22,35 +22,36 @@ struct LabResult {
 };
 
 /// Runs the ideal reference server (perfect timers, waits for the pacer)
-/// over a hand-built topology with the given OS timing quality.
+/// over a hand-wired path with the given OS timing quality.
 LabResult run_ideal(std::int64_t payload, kernel::OsTimingConfig os_timing) {
   sim::EventLoop loop;
   sim::Rng rng(42);
   framework::TopologyConfig tcfg;
   tcfg.server_qdisc = framework::QdiscKind::kFifo;  // no kernel help
   tcfg.server_os = os_timing;
-  framework::Topology topo(loop, tcfg, rng);
+  kernel::OsModel server_os(tcfg.server_os, rng.fork(1));
+  framework::BottleneckPath path(loop, tcfg, rng, server_os);
+  framework::SenderPath sender(loop, tcfg, server_os, path.nic_wire());
 
   quic::Connection::Config conn_cfg;
   conn_cfg.total_payload_bytes = payload;
-  quic::ReferenceServer server(loop, conn_cfg, topo.server_egress());
+  quic::ReferenceServer server(loop, conn_cfg, sender.egress());
   // Pacer sleeps go through the host's timer quality (50 us slack on the
   // RT host, more on the noisy one).
   kernel::TimerService::Config timer_cfg;
   timer_cfg.slack_max = os_timing.wakeup_latency_mean * 6.0 +
                         sim::Duration::micros(20);
-  kernel::TimerService timers(loop, topo.server_os(), timer_cfg);
+  kernel::TimerService timers(loop, server_os, timer_cfg);
   server.set_pacer_timers(&timers);
   quic::Client client(loop, {.ack = {}, .expected_payload_bytes = payload},
-                      topo.client_egress());
-  topo.set_client_handler([&](net::Packet pkt) { client.on_datagram(pkt); });
-  topo.set_server_handler([&](net::Packet pkt) { server.on_datagram(pkt); });
+                      path.ack_ingress());
+  path.register_flow(1, &client, &server);
 
   server.start();
   loop.run_until(sim::Time::zero() + 600_s);
 
   const auto analysis =
-      metrics::CaptureAnalyzer().analyze(topo.tap().capture());
+      metrics::CaptureAnalyzer().analyze(path.tap().capture());
   LabResult result;
   result.precision_ms = analysis.precision.precision_ms;
   result.trains_up_to_3 = analysis.trains.fraction_in_trains_up_to(3);

@@ -1,6 +1,9 @@
 #include "framework/experiment.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 namespace quicsteps::framework {
 
@@ -22,20 +25,33 @@ const char* to_string(StackKind kind) {
   return "?";
 }
 
-std::int64_t env_payload_bytes(std::int64_t fallback) {
-  if (const char* env = std::getenv("QUICSTEPS_PAYLOAD_MIB")) {
-    const long mib = std::strtol(env, nullptr, 10);
-    if (mib > 0) return static_cast<std::int64_t>(mib) * 1024 * 1024;
+std::optional<std::int64_t> env_whole_number(const char* name,
+                                             std::int64_t lo,
+                                             std::int64_t hi) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return std::nullopt;
+  const std::string_view text(env);
+  std::int64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || value < lo ||
+      value > hi) {
+    std::fprintf(stderr, "%s needs a whole number in [%lld, %lld], got '%s'\n",
+                 name, static_cast<long long>(lo), static_cast<long long>(hi),
+                 env);
+    std::exit(2);
   }
-  return fallback;
+  return value;
+}
+
+std::int64_t env_payload_bytes(std::int64_t fallback) {
+  const auto mib = env_whole_number("QUICSTEPS_PAYLOAD_MIB", 1, 1 << 20);
+  return mib ? *mib * 1024 * 1024 : fallback;
 }
 
 int env_repetitions(int fallback) {
-  if (const char* env = std::getenv("QUICSTEPS_REPS")) {
-    const long reps = std::strtol(env, nullptr, 10);
-    if (reps > 0) return static_cast<int>(reps);
-  }
-  return fallback;
+  return static_cast<int>(
+      env_whole_number("QUICSTEPS_REPS", 1, 100000).value_or(fallback));
 }
 
 }  // namespace quicsteps::framework

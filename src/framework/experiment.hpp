@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,9 +110,19 @@ struct RunResult {
   std::vector<CwndPoint> cwnd_trace;
 };
 
+/// The whole-number environment variable `name`, or nullopt when unset.
+/// Anything but a whole number in [lo, hi] is a usage error: it
+/// prints "<name> needs a whole number in [lo, hi], got '<text>'" and
+/// exits 2.
+std::optional<std::int64_t> env_whole_number(const char* name,
+                                             std::int64_t lo,
+                                             std::int64_t hi);
+
 /// Environment knobs shared by all benches:
-///   QUICSTEPS_PAYLOAD_MIB — transfer size per repetition (default 10)
-///   QUICSTEPS_REPS        — repetitions per configuration (default 5)
+///   QUICSTEPS_PAYLOAD_MIB — transfer size per repetition, 1..1048576
+///                           (default 10)
+///   QUICSTEPS_REPS        — repetitions per configuration, 1..100000
+///                           (default 5)
 std::int64_t env_payload_bytes(std::int64_t fallback = 10ll * 1024 * 1024);
 int env_repetitions(int fallback = 5);
 

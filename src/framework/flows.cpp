@@ -68,12 +68,12 @@ Network::Network(sim::EventLoop& loop, const MultiFlowConfig& config,
   if (config.flows.empty()) return;
   const std::size_t n = config.flows.size();
 
-  // Host 0's kernel also runs the shared server-side ACK receiver — as in
-  // the single-flow topology, where the one server OS serves both roles.
+  // Host 0's kernel also runs the shared server-side ACK receiver, as a
+  // single server OS serves both roles on the paper's one-sender path.
   // Its slot is reserved and its OS lane built before the path, which
   // borrows the OsModel&. Per-host OS salts are 1 + 16*i: host 0 keeps
-  // Topology's fork(1) so an N=1 run is bit-identical to the old wiring,
-  // and salts 2-4 stay reserved for the shared path.
+  // the historical fork(1) so an N=1 run is bit-identical to the old
+  // wiring, and salts 2-4 stay reserved for the shared path.
   const FlowStateSlab<SenderHost>::Handle host0 = hosts_.reserve_slot();
   kernel::OsModel& host0_os = hosts_.emplace_os(
       host0, config.flows[0].config.topology.server_os, rng.fork(1));

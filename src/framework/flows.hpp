@@ -9,8 +9,7 @@
 //   run_flows   builds a Network, runs every transfer to its deadline,
 //               and demuxes the shared tap into per-flow metrics in a
 //               single pass. Runner::run_once is the N=1 call (and stays
-//               bit-identical to the historical single-flow wiring);
-//               run_duel is the N=2 call.
+//               bit-identical to the historical single-flow wiring).
 #pragma once
 
 #include <cstdint>
@@ -44,7 +43,7 @@ struct FlowSpec {
 };
 
 struct MultiFlowConfig {
-  /// Topology parameters (bottleneck, RTT, buffers) are taken from
+  /// Shared-path parameters (bottleneck, RTT, buffers) are taken from
   /// flows[0].config.topology; each sender gets its own qdisc/NIC/OS per
   /// its own config.
   std::vector<FlowSpec> flows;
@@ -148,8 +147,7 @@ class Network {
   void start();
 
   /// When the run gives up: the max over flows of start delay + per-flow
-  /// deadline — every flow gets its full time budget (the old duel loop
-  /// granted only flow A's).
+  /// deadline — every flow gets its full time budget.
   sim::Time deadline() const { return deadline_; }
 
   BottleneckPath& path() { return *path_; }
@@ -157,8 +155,8 @@ class Network {
   SenderHost& host(std::size_t i) { return hosts_.record(handles_[i]); }
 
   /// Per-component counters / conservation stages across all hosts plus
-  /// the shared path. Single-host networks use Topology's stage names;
-  /// multi-host networks prefix per-sender stages with "host<i>/".
+  /// the shared path. Single-host networks name per-sender stages without
+  /// a prefix; multi-host networks prefix them with "host<i>/".
   net::CountersTable counters_table() const;
   check::ConservationAuditor conservation_auditor() const;
 

@@ -1,8 +1,10 @@
 #include "framework/network.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
+#include "check/audit.hpp"
 #include "kernel/qdisc_etf.hpp"
 #include "kernel/qdisc_fifo.hpp"
 #include "kernel/qdisc_fq.hpp"
@@ -78,11 +80,10 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
                  rng.fork(4), server_receiver_.get()) {
   bottleneck_.set_drop_observer([this](const net::Packet& pkt) {
     const std::size_t slot = drop_slot(pkt.flow);
-    if (slot < drop_counts_.size()) {
-      ++drop_counts_[slot];
-    } else {
-      ++stray_drops_;  // handler-mode (default-route) traffic
-    }
+    QUICSTEPS_AUDIT(slot < drop_counts_.size(),
+                    "bottleneck drop for unregistered flow " +
+                        std::to_string(pkt.flow));
+    if (slot < drop_counts_.size()) ++drop_counts_[slot];
   });
 }
 
@@ -115,12 +116,6 @@ void BottleneckPath::finish_flow_registration() {
   ack_dispatch_.finish_bulk();
   std::sort(drop_flow_ids_.begin(), drop_flow_ids_.end());
   drop_counts_.assign(drop_flow_ids_.size(), 0);
-}
-
-void BottleneckPath::set_default_routes(net::PacketSink* data,
-                                        net::PacketSink* ack) {
-  data_dispatch_.set_default_route(data);
-  ack_dispatch_.set_default_route(ack);
 }
 
 std::size_t BottleneckPath::drop_slot(std::uint32_t flow) const {

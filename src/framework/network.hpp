@@ -1,9 +1,4 @@
-// The datapath fabric, factored so one wiring serves any sender count.
-//
-// Three constructions used to build the paper's Figure 1 path by hand:
-// framework::Topology (one sender), Runner::run_once (endpoint attachment
-// on top of Topology), and run_duel (the whole path again, with 2-element
-// arrays). This header holds the two shareable pieces they had in common:
+// The datapath fabric: one wiring for any sender count.
 //
 //   SenderPath      one sender's kernel egress: [qdisc under test] -> NIC
 //                   (1 Gbit/s, optional LaunchTime) -> the wire.
@@ -13,9 +8,11 @@
 //                   the ACK return path (netem +20 ms -> server receiver
 //                   -> dispatch back to the owning sender).
 //
-// Topology is the N=1 instantiation (one SenderPath on one
-// BottleneckPath); framework::Network (flows.hpp) composes N sender hosts
-// onto one shared path for competing-flow experiments.
+// framework::Network (flows.hpp) composes N sender hosts onto one shared
+// path. A harness whose endpoints ExperimentConfig cannot express wires
+// the same pieces itself: an OsModel (fork salt 1), a BottleneckPath on
+// it, a SenderPath on the path's nic_wire(), then register_flow for each
+// endpoint pair.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +50,6 @@ class SenderPath {
   net::PacketSink* egress() { return qdisc_.get(); }
   kernel::Qdisc& qdisc() { return *qdisc_; }
   const kernel::Qdisc& qdisc() const { return *qdisc_; }
-  const kernel::Nic& nic() const { return *nic_; }
 
   /// Registers this sender's kernel stages (qdisc, NIC) on `bus` under
   /// `prefix` and installs their span hookups.
@@ -70,10 +66,9 @@ class SenderPath {
 /// owning its flow.
 ///
 /// `server_recv_os` models the kernel that runs the server-side ACK
-/// receiver (Topology and the N-flow fabric both use the first sender
-/// host's OS). RNG forks are salt-addressed: client OS = fork(2), data
-/// netem = fork(3), ack netem = fork(4) — the same salts Topology always
-/// used, so an N=1 fabric run is bit-identical to the historical wiring.
+/// receiver (the first sender host's OS). RNG forks are salt-addressed:
+/// client OS = fork(2), data netem = fork(3), ack netem = fork(4). The
+/// salts are the historical wiring's, so an N=1 run keeps its wire bits.
 class BottleneckPath {
  public:
   BottleneckPath(sim::EventLoop& loop, const TopologyConfig& config,
@@ -87,8 +82,8 @@ class BottleneckPath {
   net::PacketSink* ack_ingress() { return &ack_netem_; }
 
   /// Routes flow `id`'s data packets (client side) to `data` and its ACKs
-  /// (server side) to `ack`. Unregistered ids trip QUICSTEPS_AUDIT unless
-  /// default routes are set.
+  /// (server side) to `ack`. Packets of unregistered ids trip
+  /// QUICSTEPS_AUDIT.
   void register_flow(std::uint32_t id, net::PacketSink* data,
                      net::PacketSink* ack);
   /// Bulk registration bracket for fabric-scale flow counts: reserves the
@@ -98,8 +93,6 @@ class BottleneckPath {
   /// what the N<=8 paths use).
   void begin_flow_registration(std::size_t expected);
   void finish_flow_registration();
-  /// Endpoint-agnostic fallback routes (Topology's handler API).
-  void set_default_routes(net::PacketSink* data, net::PacketSink* ack);
 
   net::WireTap& tap() { return *tap_; }
   const net::WireTap& tap() const { return *tap_; }
@@ -107,9 +100,6 @@ class BottleneckPath {
   /// the same slab.
   net::PacketSlab& slab() { return slab_; }
   const kernel::TbfQdisc& bottleneck() const { return bottleneck_; }
-  const kernel::NetemQdisc& data_netem() const { return data_netem_; }
-  const kernel::NetemQdisc& ack_netem() const { return ack_netem_; }
-  kernel::OsModel& client_os() { return client_os_; }
 
   /// Total bottleneck drops — the paper's "dropped packets" column.
   std::int64_t bottleneck_drops() const {
@@ -157,12 +147,10 @@ class BottleneckPath {
   std::size_t drop_slot(std::uint32_t flow) const;
 
   // Per-flow drop attribution, flat instead of a map: ids sorted after
-  // registration, counts aligned by index, strays (ids that were never
-  // registered — Topology's handler mode) in one overflow counter. A drop
-  // costs one branchless search + one increment, not a map node touch.
+  // registration, counts aligned by index. A drop costs one branchless
+  // search + one increment, not a map node touch.
   std::vector<std::uint32_t> drop_flow_ids_;
   std::vector<std::int64_t> drop_counts_;
-  std::int64_t stray_drops_ = 0;
   bool registering_ = false;
 };
 

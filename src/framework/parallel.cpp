@@ -1,7 +1,6 @@
 #include "framework/parallel.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
@@ -11,11 +10,8 @@
 namespace quicsteps::framework {
 
 int env_jobs(int fallback) {
-  if (const char* env = std::getenv("QUICSTEPS_JOBS")) {
-    const long jobs = std::strtol(env, nullptr, 10);
-    if (jobs > 0) return static_cast<int>(jobs);
-  }
-  return fallback;
+  return static_cast<int>(
+      env_whole_number("QUICSTEPS_JOBS", 1, 1024).value_or(fallback));
 }
 
 ParallelRunner::ParallelRunner(int jobs) {
@@ -54,14 +50,6 @@ std::vector<std::vector<RunResult>> ParallelRunner::run_grid(
         Runner::run_once(config,
                          config.seed + static_cast<std::uint64_t>(task.rep));
   });
-  return results;
-}
-
-std::vector<DuelResult> ParallelRunner::run_duels(
-    const std::vector<DuelConfig>& duels) const {
-  std::vector<DuelResult> results(duels.size());
-  parallel_for(duels.size(), jobs_,
-               [&](std::size_t i) { results[i] = run_duel(duels[i]); });
   return results;
 }
 

@@ -2,11 +2,10 @@
 //
 // parallel_for(n, jobs, body) runs body(0..n-1), each index exactly once,
 // across `jobs` workers pulling indices from one atomic counter. It is the
-// concurrency funnel of the repo: ParallelRunner's grid/duel/flow-set
-// collectors and run_flows_sharded's extraction shards all go through it,
-// so the analyzer's concurrency/parallel-shared-state walk roots here
-// (tools/analyze/layers.json parallel_entries) and audits every lambda
-// that ever runs on a pool thread.
+// concurrency funnel of the repo: ParallelRunner's grid and flow-set
+// collectors and run_flows_sharded's extraction shards all go through it.
+// The check on the lambdas that run on pool threads is dynamic: CI's TSan
+// job runs the tier1-tsan label, whose suites reach every call site.
 //
 // Contract for bodies: writes must land in slots preassigned to exactly
 // one index before the workers start (results[i], shard-owned ranges), so

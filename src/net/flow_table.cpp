@@ -74,10 +74,6 @@ void FlowTableSink::deliver(Packet pkt) {
     sink->deliver(std::move(pkt));
     return;
   }
-  if (default_route_ != nullptr) {
-    default_route_->deliver(std::move(pkt));
-    return;
-  }
   QUICSTEPS_AUDIT(false, "packet for unregistered flow " +
                              std::to_string(pkt.flow) + " (" +
                              to_string(pkt.kind) + std::string(")"));

@@ -3,9 +3,7 @@
 // When N senders share one bottleneck, every packet that pops out of the
 // client-side receiver (and every ACK that comes back) must reach exactly
 // the endpoint that owns its flow id. FlowTableSink is that switch: a
-// sorted (flow -> sink) table with an optional default route. Unlike the
-// old two-way ternary it replaces ("anything that isn't flow A must be
-// flow B"), an id that matches no route and has no default is an audited
+// sorted (flow -> sink) table. An id that matches no route is an audited
 // error, not a silent misdelivery — a mis-tagged packet trips
 // QUICSTEPS_AUDIT instead of corrupting another flow's transport state.
 //
@@ -42,13 +40,8 @@ class FlowTableSink final : public PacketSink {
   void begin_bulk(std::size_t expected);
   void finish_bulk();
 
-  /// Fallback for ids with no route (nullptr = none). Topology uses this
-  /// for its endpoint-agnostic single-flow handlers; the N-flow fabric
-  /// leaves it unset so stray ids are caught.
-  void set_default_route(PacketSink* sink) { default_route_ = sink; }
-
-  /// Routes by pkt.flow. No route and no default trips QUICSTEPS_AUDIT
-  /// (and drops the packet in audit-off builds).
+  /// Routes by pkt.flow. No route trips QUICSTEPS_AUDIT (and drops the
+  /// packet in audit-off builds).
   void deliver(Packet pkt) override;
 
   std::size_t route_count() const { return table_.size(); }
@@ -60,7 +53,6 @@ class FlowTableSink final : public PacketSink {
   /// because packets arrive in per-flow bursts (a train hits one route
   /// repeatedly).
   std::vector<std::pair<std::uint32_t, PacketSink*>> table_;
-  PacketSink* default_route_ = nullptr;
   std::size_t last_hit_ = 0;
   bool bulk_ = false;
 };

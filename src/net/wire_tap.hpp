@@ -35,7 +35,7 @@ class WireTap final : public PacketSink, public obs::TraceSource {
   const std::vector<Packet>& capture() const { return capture_; }
   void clear() { capture_.clear(); }
 
-  /// Retention switch. Defaults to on (every Topology user reads the
+  /// Retention switch. Defaults to on (hand-wired harnesses read the
   /// capture directly); run_flows turns it off — its analysis streams
   /// through on_packet, so retaining a copy of every wire packet would be
   /// pure per-packet allocation.

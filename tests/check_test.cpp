@@ -311,6 +311,42 @@ TEST(DeterminismHash, WireHashGoldensAcrossStacksAndSeeds) {
   }
 }
 
+TEST(DeterminismHash, HandWiredPathGolden) {
+  // bench_abl_bucket_depth's wiring (a bucket-depth override that
+  // ExperimentConfig cannot express) at one depth: the shared path's
+  // pieces built by hand and flow 1 registered on it. The digest was
+  // captured from the single-flow topology class this wiring replaced,
+  // while both still existed, so it pins that the hand wiring kept every
+  // departure time.
+  sim::EventLoop loop;
+  sim::Rng rng(7);
+  const framework::TopologyConfig cfg;
+  kernel::OsModel server_os(cfg.server_os, rng.fork(1));
+  framework::BottleneckPath path(loop, cfg, rng, server_os);
+  framework::SenderPath sender(loop, cfg, server_os, path.nic_wire());
+  auto profile = stacks::picoquic_profile({});
+  profile.pacer.bucket_depth_bytes = 2 * 1500;
+  quic::Connection::Config conn_cfg;
+  conn_cfg.total_payload_bytes = 1ll * 1024 * 1024;
+  stacks::StackServer server(loop, server_os, profile, conn_cfg,
+                             sender.egress());
+  quic::Client client(
+      loop, {.ack = {}, .expected_payload_bytes = conn_cfg.total_payload_bytes},
+      path.ack_ingress());
+  path.register_flow(1, &client, &server);
+  server.start();
+  loop.run_until(sim::Time::zero() + sim::Duration::seconds(600));
+
+  check::DeterminismHasher hasher;
+  for (const net::Packet& pkt : path.tap().capture()) {
+    hasher.add_i64(pkt.wire_time.ns());
+  }
+  EXPECT_TRUE(client.complete());
+  EXPECT_EQ(path.bottleneck_drops(), 101);
+  EXPECT_EQ(hasher.count(), 849u);
+  EXPECT_EQ(hasher.digest(), 0xa78d012cee0e57d0ull);
+}
+
 TEST(DeterminismHash, TracedRunsExportByteIdenticalSerialVsParallel) {
   if (!obs::kTraceEnabled) {
     GTEST_SKIP() << "built with -DQUICSTEPS_TRACE=OFF";

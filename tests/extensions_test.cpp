@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "framework/artifacts.hpp"
-#include "framework/duel.hpp"
+#include "framework/flows.hpp"
 #include "framework/runner.hpp"
 #include "quic/connection.hpp"
 #include "stacks/event_loop_model.hpp"
@@ -185,45 +185,53 @@ TEST(AppSource, CbrTransferCompletesEndToEnd) {
 
 // ------------------------------------------------------------------ duel
 
+/// A duel: two competing flows on one shared bottleneck; `b` joins after
+/// `b_start_delay`.
+framework::MultiFlowResult run_pair(
+    const framework::ExperimentConfig& a, const framework::ExperimentConfig& b,
+    std::uint64_t seed, sim::Duration b_start_delay = sim::Duration::zero()) {
+  framework::MultiFlowConfig config;
+  config.seed = seed;
+  config.flows.push_back(framework::FlowSpec{.config = a});
+  config.flows.push_back(
+      framework::FlowSpec{.config = b, .start_delay = b_start_delay});
+  return framework::run_flows(config);
+}
+
+framework::ExperimentConfig pair_flow(framework::StackKind stack,
+                                      std::int64_t payload_mib) {
+  framework::ExperimentConfig config;
+  config.stack = stack;
+  config.payload_bytes = payload_mib * 1024 * 1024;
+  return config;
+}
+
 TEST(Duel, SameStackSplitsFairly) {
-  framework::DuelConfig duel;
-  duel.a.stack = framework::StackKind::kQuicheSf;
-  duel.a.payload_bytes = 3ll * 1024 * 1024;
-  duel.b = duel.a;
-  duel.seed = 11;
-  auto result = framework::run_duel(duel);
-  EXPECT_TRUE(result.a.completed);
-  EXPECT_TRUE(result.b.completed);
+  const auto quiche = pair_flow(framework::StackKind::kQuicheSf, 3);
+  const auto result = run_pair(quiche, quiche, 11);
+  EXPECT_TRUE(result.flows[0].completed);
+  EXPECT_TRUE(result.flows[1].completed);
   EXPECT_GT(result.fairness, 0.95);
   // Both flows fit through the shared bottleneck: aggregate is bounded.
-  EXPECT_LE(result.a.goodput.goodput.mbps() +
-                result.b.goodput.goodput.mbps(),
+  EXPECT_LE(result.flows[0].goodput.goodput.mbps() +
+                result.flows[1].goodput.goodput.mbps(),
             40.0);
 }
 
 TEST(Duel, StaggeredStartStillCompletes) {
-  framework::DuelConfig duel;
-  duel.a.stack = framework::StackKind::kQuicheSf;
-  duel.a.payload_bytes = 2ll * 1024 * 1024;
-  duel.b = duel.a;
-  duel.b.stack = framework::StackKind::kPicoquic;
-  duel.b_start_delay = 500_ms;
-  duel.seed = 13;
-  auto result = framework::run_duel(duel);
-  EXPECT_TRUE(result.a.completed);
-  EXPECT_TRUE(result.b.completed);
+  const auto result =
+      run_pair(pair_flow(framework::StackKind::kQuicheSf, 2),
+               pair_flow(framework::StackKind::kPicoquic, 2), 13, 500_ms);
+  EXPECT_TRUE(result.flows[0].completed);
+  EXPECT_TRUE(result.flows[1].completed);
 }
 
 TEST(Duel, TcpParticipates) {
-  framework::DuelConfig duel;
-  duel.a.stack = framework::StackKind::kPicoquic;
-  duel.a.payload_bytes = 2ll * 1024 * 1024;
-  duel.b = duel.a;
-  duel.b.stack = framework::StackKind::kTcpTls;
-  duel.seed = 17;
-  auto result = framework::run_duel(duel);
-  EXPECT_TRUE(result.a.completed);
-  EXPECT_TRUE(result.b.completed);
+  const auto result =
+      run_pair(pair_flow(framework::StackKind::kPicoquic, 2),
+               pair_flow(framework::StackKind::kTcpTls, 2), 17);
+  EXPECT_TRUE(result.flows[0].completed);
+  EXPECT_TRUE(result.flows[1].completed);
   EXPECT_GT(result.bottleneck_drops, 0);
 }
 

@@ -1,4 +1,4 @@
-// Framework integration and property tests: topology wiring, end-to-end
+// Framework integration and property tests: path wiring, end-to-end
 // experiments for every stack, aggregation, report rendering, and
 // parameterized invariants (packet conservation, goodput ceilings,
 // determinism) swept across stacks and seeds.
@@ -27,47 +27,57 @@ ExperimentConfig quick_config(StackKind stack,
   return config;
 }
 
-TEST(Topology, WiresDataPathThroughTap) {
+/// One sender hand-wired onto the shared path, with collector sinks
+/// registered as flow 1's client (data) and server (ACK) endpoints.
+struct OneSenderPath {
+  explicit OneSenderPath(const TopologyConfig& cfg = {})
+      : os(cfg.server_os, rng.fork(1)),
+        path(loop, cfg, rng, os),
+        sender(loop, cfg, os, path.nic_wire()) {
+    path.register_flow(1, &client, &server);
+  }
+
   sim::EventLoop loop;
-  sim::Rng rng(3);
-  Topology topo(loop, {}, rng);
-  int delivered = 0;
-  topo.set_client_handler([&](net::Packet) { ++delivered; });
+  sim::Rng rng{3};
+  kernel::OsModel os;
+  BottleneckPath path;
+  SenderPath sender;
+  net::CollectorSink client;
+  net::CollectorSink server;
+};
+
+TEST(BottleneckPath, WiresDataPathThroughTap) {
+  OneSenderPath wired;
   net::Packet pkt;
   pkt.flow = 1;
   pkt.size_bytes = 1500;
-  topo.server_egress()->deliver(pkt);
-  loop.run();
-  EXPECT_EQ(delivered, 1);
-  ASSERT_EQ(topo.tap().capture().size(), 1u);
+  wired.sender.egress()->deliver(pkt);
+  wired.loop.run();
+  EXPECT_EQ(wired.client.packets().size(), 1u);
+  ASSERT_EQ(wired.path.tap().capture().size(), 1u);
   // One-way latency ~20 ms plus serialization.
-  EXPECT_GE(loop.now(), sim::Time::zero() + 20_ms);
-  EXPECT_LT(loop.now(), sim::Time::zero() + 25_ms);
+  EXPECT_GE(wired.loop.now(), sim::Time::zero() + 20_ms);
+  EXPECT_LT(wired.loop.now(), sim::Time::zero() + 25_ms);
 }
 
-TEST(Topology, AckPathHasNoBottleneck) {
-  sim::EventLoop loop;
-  sim::Rng rng(3);
-  Topology topo(loop, {}, rng);
-  int delivered = 0;
-  topo.set_server_handler([&](net::Packet) { ++delivered; });
+TEST(BottleneckPath, AckPathHasNoBottleneck) {
+  OneSenderPath wired;
   for (int i = 0; i < 100; ++i) {
     net::Packet ack;
     ack.kind = net::PacketKind::kQuicAck;
+    ack.flow = 1;
     ack.size_bytes = 60;
-    topo.client_egress()->deliver(ack);
+    wired.path.ack_ingress()->deliver(ack);
   }
-  loop.run();
-  EXPECT_EQ(delivered, 100);
+  wired.loop.run();
+  EXPECT_EQ(wired.server.packets().size(), 100u);
 }
 
-TEST(Topology, QdiscSelection) {
-  sim::EventLoop loop;
-  sim::Rng rng(3);
+TEST(SenderPath, QdiscSelection) {
   TopologyConfig cfg;
   cfg.server_qdisc = QdiscKind::kFq;
-  Topology topo(loop, cfg, rng);
-  EXPECT_EQ(topo.server_qdisc().name(), "fq");
+  OneSenderPath wired(cfg);
+  EXPECT_EQ(wired.sender.qdisc().name(), "fq");
 }
 
 TEST(Runner, RecordsCwndTraceWhenRequested) {
@@ -173,43 +183,48 @@ TEST(ParallelRunner, RunAllMatchesRunnerInterface) {
 }
 
 TEST(ParallelRunner, DuelsAreBitIdenticalToSerial) {
-  // run_duels fans competing-flow pairs across the pool; four duels on
-  // four workers must match a serial run_duel loop bit for bit. Under TSan
-  // this is also the race check for its worker lambda.
+  // run_flow_sets fans competing-flow pairs across the pool; four pairs on
+  // four workers must match a serial run_flows loop bit for bit. Under
+  // TSan this is also the race check for its worker lambda, so the pairs
+  // reach every endpoint family: QUIC stacks, TCP and the ideal server.
   const StackKind pairs[][2] = {
       {StackKind::kQuicheSf, StackKind::kQuicheSf},
       {StackKind::kQuicheSf, StackKind::kPicoquic},
       {StackKind::kPicoquic, StackKind::kTcpTls},
       {StackKind::kNgtcp2, StackKind::kIdealQuic},
   };
-  std::vector<DuelConfig> duels;
+  std::vector<MultiFlowConfig> duels;
   for (const auto& pair : pairs) {
-    DuelConfig duel;
-    duel.a = quick_config(pair[0]);
-    duel.a.payload_bytes = 1ll * 1024 * 1024;
-    duel.b = duel.a;
-    duel.b.stack = pair[1];
+    MultiFlowConfig duel;
+    auto a = quick_config(pair[0]);
+    a.payload_bytes = 1ll * 1024 * 1024;
+    auto b = a;
+    b.stack = pair[1];
+    duel.flows.push_back(FlowSpec{.config = a});
+    duel.flows.push_back(FlowSpec{.config = b});
     duel.seed = 21 + duels.size();
     duels.push_back(duel);
   }
 
-  const auto parallel = ParallelRunner(4).run_duels(duels);
+  const auto parallel = ParallelRunner(4).run_flow_sets(duels);
 
   ASSERT_EQ(parallel.size(), duels.size());
   for (std::size_t i = 0; i < duels.size(); ++i) {
-    const DuelResult serial = run_duel(duels[i]);
-    const DuelResult& par = parallel[i];
+    const MultiFlowResult serial = run_flows(duels[i]);
+    const MultiFlowResult& par = parallel[i];
     SCOPED_TRACE("duel " + std::to_string(i));
     EXPECT_EQ(par.bottleneck_drops, serial.bottleneck_drops);
     EXPECT_EQ(par.fairness, serial.fairness);
-    for (const auto& [p, s] : {std::pair{&par.a, &serial.a},
-                               std::pair{&par.b, &serial.b}}) {
-      EXPECT_EQ(p->completed, s->completed);
-      EXPECT_EQ(p->packets_sent, s->packets_sent);
-      EXPECT_EQ(p->dropped_packets, s->dropped_packets);
-      EXPECT_EQ(p->packets_declared_lost, s->packets_declared_lost);
-      EXPECT_EQ(p->wire_data_packets, s->wire_data_packets);
-      EXPECT_EQ(p->wire_hash, s->wire_hash);
+    ASSERT_EQ(par.flows.size(), serial.flows.size());
+    for (std::size_t f = 0; f < par.flows.size(); ++f) {
+      const RunResult& p = par.flows[f];
+      const RunResult& s = serial.flows[f];
+      EXPECT_EQ(p.completed, s.completed);
+      EXPECT_EQ(p.packets_sent, s.packets_sent);
+      EXPECT_EQ(p.dropped_packets, s.dropped_packets);
+      EXPECT_EQ(p.packets_declared_lost, s.packets_declared_lost);
+      EXPECT_EQ(p.wire_data_packets, s.wire_data_packets);
+      EXPECT_EQ(p.wire_hash, s.wire_hash);
     }
   }
 }

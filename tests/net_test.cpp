@@ -187,21 +187,6 @@ TEST(FlowTable, RoutesByFlowId) {
   EXPECT_EQ(b.packets()[0].id, 3u);
 }
 
-TEST(FlowTable, DefaultRouteCatchesUnregisteredFlows) {
-  FlowTableSink table;
-  CollectorSink a;
-  CollectorSink fallback;
-  table.add_route(7, &a);
-  table.set_default_route(&fallback);
-
-  table.deliver(make_flow_packet(7, 1));
-  table.deliver(make_flow_packet(42, 2));
-
-  ASSERT_EQ(a.packets().size(), 1u);
-  ASSERT_EQ(fallback.packets().size(), 1u);
-  EXPECT_EQ(fallback.packets()[0].id, 2u);
-}
-
 TEST(FlowTable, UnregisteredFlowTripsAuditAndDrops) {
   if (!check::kAuditEnabled) GTEST_SKIP() << "audit compiled out";
   std::vector<std::string> failures;
@@ -212,7 +197,7 @@ TEST(FlowTable, UnregisteredFlowTripsAuditAndDrops) {
   FlowTableSink table;
   CollectorSink a;
   table.add_route(7, &a);
-  table.deliver(make_flow_packet(42, 1));  // no route, no default
+  table.deliver(make_flow_packet(42, 1));  // no route
 
   check::set_audit_handler({});
   EXPECT_TRUE(a.packets().empty());
