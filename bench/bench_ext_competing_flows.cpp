@@ -197,6 +197,22 @@ int run_telemetry_overhead(int flows, double gate) {
   return 0;
 }
 
+/// framework::parse_number for argument `flag`: bad text prints a usage
+/// error naming the flag and its range and exits 2.
+template <typename T>
+T number_arg(const char* flag, const char* text, T lo, T hi) {
+  const auto value = framework::parse_number(text, lo, hi);
+  if (!value) {
+    std::fprintf(stderr,
+                 "bench_ext_competing_flows: %s needs a number in [%g, %g], "
+                 "got '%s'\n",
+                 flag, static_cast<double>(lo), static_cast<double>(hi),
+                 text);
+    std::exit(2);
+  }
+  return *value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -204,9 +220,9 @@ int main(int argc, char** argv) {
   double telemetry_gate = 0.0;  // 0 = report only, no gate
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--flows") == 0) {
-      flow_count = std::max(2, std::atoi(argv[i + 1]));
+      flow_count = number_arg(argv[i], argv[i + 1], 2, 100'000);
     } else if (std::strcmp(argv[i], "--telemetry-gate") == 0) {
-      telemetry_gate = std::atof(argv[i + 1]);
+      telemetry_gate = number_arg(argv[i], argv[i + 1], 0.0, 1000.0);
     }
   }
   print_header("extD", "competing flows at the bottleneck (future work)");

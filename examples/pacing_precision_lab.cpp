@@ -66,8 +66,20 @@ LabResult run_ideal(std::int64_t payload, kernel::OsTimingConfig os_timing) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::int64_t payload =
-      (argc > 1 ? std::atoll(argv[1]) : 5) * 1024 * 1024;
+  std::int64_t payload_mib = 5;
+  if (argc > 1) {
+    const auto parsed =
+        framework::parse_number<std::int64_t>(argv[1], 1, 1 << 20);
+    if (!parsed) {
+      std::fprintf(stderr,
+                   "pacing_precision_lab: payload_MiB needs a whole number "
+                   "in [1, 1048576], got '%s'\n",
+                   argv[1]);
+      return 2;
+    }
+    payload_mib = *parsed;
+  }
+  const std::int64_t payload = payload_mib * 1024 * 1024;
 
   std::printf("pacing precision lab — how good can user-space pacing get?\n\n");
 

@@ -1,9 +1,7 @@
 #include "framework/experiment.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
 
 namespace quicsteps::framework {
 
@@ -30,12 +28,8 @@ std::optional<std::int64_t> env_whole_number(const char* name,
                                              std::int64_t hi) {
   const char* env = std::getenv(name);
   if (env == nullptr) return std::nullopt;
-  const std::string_view text(env);
-  std::int64_t value = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || end != text.data() + text.size() || value < lo ||
-      value > hi) {
+  const auto value = parse_number(env, lo, hi);
+  if (!value) {
     std::fprintf(stderr, "%s needs a whole number in [%lld, %lld], got '%s'\n",
                  name, static_cast<long long>(lo), static_cast<long long>(hi),
                  env);

@@ -2,10 +2,13 @@
 // bench and example speaks.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "framework/topology.hpp"
@@ -109,6 +112,21 @@ struct RunResult {
   };
   std::vector<CwndPoint> cwnd_trace;
 };
+
+/// Parses all of `text` as a T within [lo, hi]: nullopt on empty text,
+/// trailing junk, overflow, NaN or an out-of-range value. The one checked
+/// number parser behind env_whole_number and every numeric command-line
+/// argument; each caller words its own usage error.
+template <typename T>
+std::optional<T> parse_number(std::string_view text, T lo, T hi) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 /// The whole-number environment variable `name`, or nullopt when unset.
 /// Anything but a whole number in [lo, hi] is a usage error: it

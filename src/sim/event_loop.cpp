@@ -30,14 +30,6 @@ const char* to_string(EventClass cls) {
   return "general";
 }
 
-void EventHandle::cancel() {
-  if (loop_ != nullptr) loop_->cancel_slot(slot_, gen_);
-}
-
-bool EventHandle::pending() const {
-  return loop_ != nullptr && loop_->slot_live(slot_, gen_);
-}
-
 EventLoop::EventLoop() : wheel_(kBuckets) {}
 
 std::uint32_t EventLoop::acquire_slot() {
@@ -159,11 +151,18 @@ void EventLoop::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
 
 void EventLoop::wheel_insert(const Rec& rec) {
   const std::uint64_t idx = bucket_index(rec.at_ns);
-  wheel_[idx & kMask].push_back(rec);
+  std::vector<Rec>& b = wheel_[idx & kMask];
+  if (idx == active_idx_) {
+    // The active bucket stays sorted latest-first between events: a
+    // binary search places the record (at worst an O(bucket) memmove of
+    // the earlier records behind it), so the cursor never re-sorts.
+    b.insert(std::upper_bound(b.begin(), b.end(), rec, rec_after), rec);
+  } else {
+    b.push_back(rec);
+  }
   set_bit(idx);
   ++wheel_count_;
   if (idx < hint_idx_) hint_idx_ = idx;
-  if (idx == active_idx_) active_sorted_ = false;
 }
 
 void EventLoop::clean_overflow_top() {
@@ -225,9 +224,10 @@ bool EventLoop::locate_next(bool* from_overflow) {
       if (found != kNoBucket) {
         hint_idx_ = found;
         std::vector<Rec>& b = wheel_[found & kMask];
-        if (found != active_idx_ || !active_sorted_) {
-          // Prune tombstones, then sort latest-first so draining pops the
-          // earliest record off the back.
+        if (found != active_idx_) {
+          // First visit: prune tombstones, then sort latest-first so
+          // draining pops the earliest record off the back. From here on
+          // wheel_insert keeps the bucket in that order.
           std::size_t kept = 0;
           for (const Rec& rec : b) {
             if (rec_live(rec)) {
@@ -240,9 +240,8 @@ bool EventLoop::locate_next(bool* from_overflow) {
           b.resize(kept);
           std::sort(b.begin(), b.end(), rec_after);
           active_idx_ = found;
-          active_sorted_ = true;
         } else {
-          // Sorted earlier; records cancelled since then pile up dead at
+          // Already sorted; records cancelled since then sit dead at
           // arbitrary positions — only the back needs to be live.
           while (!b.empty() && !rec_live(b.back())) {
             release_slot(b.back().slot);
@@ -277,12 +276,12 @@ bool EventLoop::run_one() {
   Rec rec;
   bool have = false;
   // Fast path: the cursor run_one/drain_trains left behind is still pinned
-  // on the sorted active bucket (the same invariant drain_trains relies
-  // on: an earlier insert lowers hint_idx_, an insert into the bucket
-  // clears active_sorted_), so the earliest live record is its back — no
+  // on the active bucket (the same invariant drain_trains relies on: an
+  // insert into an earlier bucket lowers hint_idx_, one into the bucket
+  // itself keeps it sorted), so the earliest live record is its back — no
   // bitmap scan needed. Overflow records sit beyond the wheel horizon by
   // construction, so they can never beat a wheel record.
-  if (active_idx_ != kNoBucket && active_sorted_ && hint_idx_ == active_idx_) {
+  if (active_idx_ != kNoBucket && hint_idx_ == active_idx_) {
     std::vector<Rec>& b = wheel_[active_idx_ & kMask];
     while (!b.empty() && !rec_live(b.back())) {
       release_slot(b.back().slot);
@@ -366,12 +365,10 @@ void EventLoop::execute_train(const Rec& rec) {
 std::size_t EventLoop::drain_trains(Time deadline) {
   std::size_t n = 0;
   for (;;) {
-    // The fast path is only sound while the cursor state run_one left
-    // behind is provably untouched: the active bucket is still the sorted
-    // front (an insert into an earlier bucket moves hint_idx_ below it; an
-    // insert into the bucket itself clears active_sorted_).
-    if (active_idx_ == kNoBucket || !active_sorted_) break;
-    if (hint_idx_ != active_idx_) break;
+    // The fast path is only sound while the active bucket is still the
+    // front: an insert into an earlier bucket moves hint_idx_ below it
+    // (one into the bucket itself keeps it sorted and the train going).
+    if (active_idx_ == kNoBucket || hint_idx_ != active_idx_) break;
     std::vector<Rec>& b = wheel_[active_idx_ & kMask];
     if (b.empty()) break;
     const Rec rec = b.back();

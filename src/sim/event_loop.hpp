@@ -3,7 +3,9 @@
 // Events live in a calendar queue: a ring of fixed-width time buckets (the
 // wheel) for the near future plus a min-heap for events beyond the wheel
 // horizon. Scheduling appends a 24-byte POD record to its bucket in O(1);
-// draining sorts each bucket once when the cursor reaches it. Events at the
+// draining sorts each bucket once when the cursor reaches it. From then on
+// inserts into that active bucket keep it ordered (a binary search, at
+// worst an O(bucket) memmove, never a re-sort). Events at the
 // same instant run in scheduling order (a global sequence number breaks
 // ties), which makes every run of a given seed bit-for-bit reproducible.
 //
@@ -292,8 +294,8 @@ class EventLoop {
   void execute_train(const Rec& rec);
   /// Train loop: executes consecutive drain records (time <= deadline)
   /// off the back of the sorted active bucket without re-entering
-  /// locate_next, stopping the moment a callback perturbs cursor state or
-  /// a closure record surfaces. Returns the number executed.
+  /// locate_next, stopping the moment a callback schedules into an earlier
+  /// bucket or a closure record surfaces. Returns the number executed.
   std::size_t drain_trains(Time deadline);
 
   std::vector<Slot> slots_;
@@ -304,13 +306,23 @@ class EventLoop {
   std::vector<Rec> overflow_;  // min-heap on rec_after
   std::uint64_t base_idx_ = 0;        // bucket holding now()
   std::uint64_t hint_idx_ = 0;        // scans start here (<= first occupied)
-  std::uint64_t active_idx_ = kNoBucket;  // bucket sorted for draining
-  bool active_sorted_ = false;
+  // Bucket being drained; sorted latest-first for as long as it is active.
+  std::uint64_t active_idx_ = kNoBucket;
   std::size_t wheel_count_ = 0;  // records in the wheel, incl. tombstones
   std::size_t live_count_ = 0;
   Time now_;
   std::uint64_t next_seq_ = 0;
   LoopStats stats_;
 };
+
+// Defined here, not in event_loop.cpp: the timer, loss, ACK and yield
+// paths ask pending() on nearly every packet.
+inline void EventHandle::cancel() {
+  if (loop_ != nullptr) loop_->cancel_slot(slot_, gen_);
+}
+
+inline bool EventHandle::pending() const {
+  return loop_ != nullptr && loop_->slot_live(slot_, gen_);
+}
 
 }  // namespace quicsteps::sim

@@ -2,7 +2,14 @@
 // cancellation, and deterministic randomness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <limits>
+#include <random>
+#include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -238,6 +245,237 @@ TEST(EventLoop, StaleHandlesFromReusedSlotsAreInert) {
   b.cancel();  // stale after run: also a no-op
   loop.run();
   EXPECT_EQ(fourth, 1);
+}
+
+// ------------------------------------- differential test vs a reference
+
+/// Drives one EventLoop and a reference model — a std::set ordered on
+/// (time, schedule sequence) — with the same random schedule, and records
+/// what each says runs next. Events are closures, cancellable drain
+/// records or slotless drain records; all of them may schedule or cancel
+/// more work from inside their callbacks.
+class DifferentialHarness {
+ public:
+  using Key = std::tuple<std::int64_t, std::uint64_t, std::uint32_t>;
+  using Step = std::pair<std::int64_t, std::uint32_t>;  // (time ns, id)
+
+  explicit DifferentialHarness(std::uint64_t seed) : rng_(seed) {
+    ch_ = loop_.register_drain(EventClass::kDelay, &DifferentialHarness::drain,
+                               this);
+  }
+
+  EventLoop& loop() { return loop_; }
+  std::uint64_t draw(std::uint64_t n) { return rng_() % n; }
+  void set_budget(int ops) { budget_ = ops; }
+  int budget() const { return budget_; }
+  std::size_t model_size() const { return model_.size(); }
+  const std::vector<Step>& executed() const { return executed_; }
+  const std::vector<Step>& expected() const { return expected_; }
+
+  Time model_next_time() const {
+    return model_.empty() ? Time::infinite()
+                          : Time::from_ns(std::get<0>(*model_.begin()));
+  }
+
+  /// Issues up to `n` random schedule/cancel operations, each spending one
+  /// unit of budget.
+  void random_ops(int n) {
+    for (int i = 0; i < n && budget_ > 0; ++i, --budget_) {
+      const std::uint64_t r = draw(100);
+      if (r < 35) {
+        schedule(Kind::kClosure);
+      } else if (r < 60) {
+        schedule(Kind::kDrain);
+      } else if (r < 85) {
+        schedule(Kind::kPost);
+      } else {
+        cancel_one();
+      }
+    }
+  }
+
+  /// Times the deadline-driven steps use: mostly inside the current or the
+  /// next few buckets (never bucket-aligned on purpose), sometimes far out.
+  std::int64_t random_deadline() {
+    const std::int64_t now = loop_.now().ns();
+    switch (draw(4)) {
+      case 0:
+        return now + static_cast<std::int64_t>(draw(8192));
+      case 1:
+        return now + static_cast<std::int64_t>(draw(60'000));
+      case 2:
+        return now + static_cast<std::int64_t>(draw(3'000'000));
+      default:
+        return now + static_cast<std::int64_t>(draw(40'000'000));
+    }
+  }
+
+ private:
+  enum class Kind { kClosure, kDrain, kPost };
+  struct Entry {
+    Key key;
+    EventHandle handle;  // inert for slotless drain records
+    bool cancellable = false;
+    bool done = false;
+  };
+
+  static void drain(void* ctx, std::uint32_t id) {
+    static_cast<DifferentialHarness*>(ctx)->on_run(id);
+  }
+
+  /// A target time covering ties, past times (clamped to now), the bucket
+  /// holding now, the near wheel and the overflow beyond the horizon.
+  std::int64_t random_time() {
+    const std::int64_t now = loop_.now().ns();
+    switch (draw(10)) {
+      case 0:
+        return now;  // same-instant tie with everything due now
+      case 1:
+        return now - static_cast<std::int64_t>(draw(5000));
+      case 2:
+      case 3:
+        return now + static_cast<std::int64_t>(draw(8192));
+      case 4: {
+        // Tie with a pending record: the earliest few are in the bucket
+        // being drained.
+        if (model_.empty()) return now;
+        auto it = model_.begin();
+        for (std::uint64_t k = draw(4); k > 0 && std::next(it) != model_.end();
+             --k) {
+          ++it;
+        }
+        return std::get<0>(*it);
+      }
+      case 5:  // anywhere in the bucket holding now, ahead of or behind it
+        return (now & ~std::int64_t{8191}) +
+               static_cast<std::int64_t>(draw(8192));
+      case 6:
+      case 7:
+        return now + static_cast<std::int64_t>(draw(200'000));
+      case 8:
+        return now + static_cast<std::int64_t>(draw(16'000'000));
+      default:  // past the ~16.8 ms wheel horizon
+        return now + 16'800'000 +
+               static_cast<std::int64_t>(draw(50'000'000));
+    }
+  }
+
+  void schedule(Kind kind) {
+    const std::int64_t at = std::max(random_time(), loop_.now().ns());
+    const auto id = static_cast<std::uint32_t>(entries_.size());
+    Entry entry;
+    entry.key = Key{at, next_seq_++, id};
+    const Time t = Time::from_ns(at);
+    switch (kind) {
+      case Kind::kClosure:
+        entry.handle = loop_.schedule_at(t, [this, id] { on_run(id); });
+        entry.cancellable = true;
+        break;
+      case Kind::kDrain:
+        entry.handle = loop_.schedule_drain_at(t, ch_, id);
+        entry.cancellable = true;
+        break;
+      case Kind::kPost:
+        loop_.post_drain_at(t, ch_, id);
+        break;
+    }
+    model_.insert(entry.key);
+    entries_.push_back(entry);
+  }
+
+  /// Cancels a pending record, most often one of the earliest (those sit
+  /// in the already-sorted active bucket), sometimes any entry at all —
+  /// including ones that already ran or were cancelled (a no-op).
+  void cancel_one() {
+    if (entries_.empty()) return;
+    std::uint32_t id;
+    if (!model_.empty() && draw(2) == 0) {
+      auto it = model_.begin();
+      for (std::uint64_t k = draw(8); k > 0 && std::next(it) != model_.end();
+           --k) {
+        ++it;
+      }
+      id = std::get<2>(*it);
+    } else {
+      id = static_cast<std::uint32_t>(draw(entries_.size()));
+    }
+    Entry& entry = entries_[id];
+    if (!entry.cancellable) return;
+    EXPECT_EQ(entry.handle.pending(), !entry.done) << "id " << id;
+    entry.handle.cancel();
+    if (!entry.done) {
+      entry.done = true;
+      model_.erase(entry.key);
+    }
+  }
+
+  void on_run(std::uint32_t id) {
+    executed_.emplace_back(loop_.now().ns(), id);
+    if (model_.empty()) {
+      expected_.emplace_back(-1, id);
+    } else {
+      expected_.emplace_back(std::get<0>(*model_.begin()),
+                             std::get<2>(*model_.begin()));
+    }
+    Entry& entry = entries_[id];
+    EXPECT_FALSE(entry.done) << "id " << id << " ran twice or after cancel";
+    entry.done = true;
+    model_.erase(entry.key);
+    // Callbacks reschedule and cancel too, so inserts land in the bucket
+    // that is being drained while the train loop holds it.
+    if (budget_ > 0 && draw(3) != 0) random_ops(1 + static_cast<int>(draw(3)));
+    EXPECT_EQ(loop_.next_event_time(), model_next_time());
+  }
+
+  EventLoop loop_;
+  std::mt19937_64 rng_;
+  DrainId ch_ = 0;
+  std::vector<Entry> entries_;
+  std::set<Key> model_;
+  std::uint64_t next_seq_ = 0;
+  int budget_ = 0;
+  std::vector<Step> executed_;
+  std::vector<Step> expected_;
+};
+
+TEST(EventLoop, MatchesReferenceModelOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    DifferentialHarness h(seed);
+    EventLoop& loop = h.loop();
+    // Stepwise phase: outside schedules and cancels interleave with
+    // run_one and run_until (deadlines mostly inside a bucket).
+    h.set_budget(6000);
+    h.random_ops(300);
+    for (int step = 0; step < 200'000; ++step) {
+      ASSERT_EQ(loop.next_event_time(), h.model_next_time());
+      ASSERT_EQ(loop.pending_count(), h.model_size());
+      if (h.model_size() == 0 && h.budget() == 0) break;
+      const std::uint64_t r = h.draw(10);
+      if (r < 3) {
+        h.random_ops(1 + static_cast<int>(h.draw(4)));
+      } else if (r < 6) {
+        const bool any = h.model_size() > 0;
+        EXPECT_EQ(loop.run_one(), any);
+      } else {
+        const std::int64_t deadline = h.random_deadline();
+        loop.run_until(Time::from_ns(deadline));
+        EXPECT_EQ(loop.now(), Time::from_ns(deadline));
+        EXPECT_GT(h.model_next_time(), Time::from_ns(deadline));
+      }
+    }
+    // Free-running phase: run() with callbacks still scheduling.
+    h.set_budget(3000);
+    loop.run();
+    EXPECT_TRUE(loop.empty());
+    EXPECT_EQ(h.model_size(), 0u);
+    EXPECT_EQ(h.executed(), h.expected());
+    EXPECT_GT(h.executed().size(), 4000u);
+    if constexpr (kLoopProfilingEnabled) {
+      EXPECT_GT(loop.stats().overflow_scheduled, 0u);
+      EXPECT_GT(loop.stats().drain_batched, 0u);
+    }
+  }
 }
 
 TEST(Rng, DeterministicForSameSeed) {

@@ -37,7 +37,6 @@
 //   --health-exit         exit nonzero when the health report is unhealthy
 //                         (stalls / pacing spikes / drop bursts /
 //                         incomplete flows) — the CI gate switch
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -59,22 +58,6 @@ namespace {
                        "tools/quicsteps_cli.cpp for flags)\n",
                message.c_str());
   std::exit(2);
-}
-
-/// Parses all of `text` as a T within [lo, hi]; trailing junk, overflow,
-/// NaN or an out-of-range value is a usage error naming `flag`.
-template <typename T>
-T parse_number(const std::string& flag, const std::string& text, T lo, T hi) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
-    std::ostringstream range;
-    range << "[" << lo << ", " << hi << "]";
-    usage_error(flag + " needs a number in " + range.str() + ", got '" +
-                text + "'");
-  }
-  return value;
 }
 
 framework::StackKind parse_stack(const std::string& value) {
@@ -194,9 +177,18 @@ int main(int argc, char** argv) {
   // conversion (MiB -> bytes, Mbit/s -> bit/s, ms -> ns, ...) inside int64.
   constexpr std::int64_t kMaxI64 = std::numeric_limits<std::int64_t>::max();
   constexpr int kMaxInt = std::numeric_limits<int>::max();
+  // Bad text is a usage error naming the flag and its range.
   auto next_number = [&](int& i, auto lo, decltype(lo) hi) {
     const std::string flag = argv[i];
-    return parse_number(flag, next_value(i), lo, hi);
+    const std::string text = next_value(i);
+    const auto value = framework::parse_number(text, lo, hi);
+    if (!value) {
+      std::ostringstream range;
+      range << "[" << lo << ", " << hi << "]";
+      usage_error(flag + " needs a number in " + range.str() + ", got '" +
+                  text + "'");
+    }
+    return *value;
   };
 
   for (int i = 1; i < argc; ++i) {
