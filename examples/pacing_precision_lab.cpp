@@ -6,7 +6,6 @@
 //
 // Usage: pacing_precision_lab [payload_MiB]
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/quicsteps.hpp"
 
@@ -66,19 +65,10 @@ LabResult run_ideal(std::int64_t payload, kernel::OsTimingConfig os_timing) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::int64_t payload_mib = 5;
-  if (argc > 1) {
-    const auto parsed =
-        framework::parse_number<std::int64_t>(argv[1], 1, 1 << 20);
-    if (!parsed) {
-      std::fprintf(stderr,
-                   "pacing_precision_lab: payload_MiB needs a whole number "
-                   "in [1, 1048576], got '%s'\n",
-                   argv[1]);
-      return 2;
-    }
-    payload_mib = *parsed;
-  }
+  const std::int64_t payload_mib =
+      argc > 1 ? framework::whole_number_arg(
+                     "pacing_precision_lab", "payload_MiB", argv[1], 1, 1 << 20)
+               : 5;
   const std::int64_t payload = payload_mib * 1024 * 1024;
 
   std::printf("pacing precision lab — how good can user-space pacing get?\n\n");

@@ -5,7 +5,6 @@
 //
 // Usage: qdisc_shootout [payload_MiB]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "core/quicsteps.hpp"
@@ -14,7 +13,10 @@ using namespace quicsteps;
 
 int main(int argc, char** argv) {
   const std::int64_t payload =
-      (argc > 1 ? std::atoll(argv[1]) : 10) * 1024 * 1024;
+      (argc > 1 ? framework::whole_number_arg("qdisc_shootout", "payload_MiB",
+                                              argv[1], 1, 1 << 20)
+                : 10) *
+      1024 * 1024;
 
   const framework::QdiscKind qdiscs[] = {
       framework::QdiscKind::kFifo, framework::QdiscKind::kFqCodel,

@@ -4,7 +4,6 @@
 //
 // Usage: quickstart [payload_MiB] [repetitions]
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/quicsteps.hpp"
@@ -12,10 +11,15 @@
 using namespace quicsteps;
 
 int main(int argc, char** argv) {
-  std::int64_t payload = 5ll * 1024 * 1024;
-  int reps = 2;
-  if (argc > 1) payload = std::atoll(argv[1]) * 1024 * 1024;
-  if (argc > 2) reps = std::atoi(argv[2]);
+  const std::int64_t payload =
+      (argc > 1 ? framework::whole_number_arg("quickstart", "payload_MiB",
+                                              argv[1], 1, 1 << 20)
+                : 5) *
+      1024 * 1024;
+  const int reps =
+      argc > 2 ? static_cast<int>(framework::whole_number_arg(
+                     "quickstart", "repetitions", argv[2], 1, 100000))
+               : 2;
 
   std::printf("quicsteps %s — baseline demo: %lld MiB, %d repetition(s)\n",
               kVersion, static_cast<long long>(payload / (1024 * 1024)),

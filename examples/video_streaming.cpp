@@ -9,7 +9,6 @@
 //
 // Usage: video_streaming [segment_MiB] [segments]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -58,8 +57,14 @@ StreamVerdict stream(const std::string& label, framework::StackKind stack,
 
 int main(int argc, char** argv) {
   const std::int64_t segment_bytes =
-      (argc > 1 ? std::atoll(argv[1]) : 4) * 1024 * 1024;
-  const int segments = argc > 2 ? std::atoi(argv[2]) : 3;
+      (argc > 1 ? framework::whole_number_arg("video_streaming", "segment_MiB",
+                                              argv[1], 1, 1 << 20)
+                : 4) *
+      1024 * 1024;
+  const int segments =
+      argc > 2 ? static_cast<int>(framework::whole_number_arg(
+                     "video_streaming", "segments", argv[2], 1, 100000))
+               : 3;
 
   std::printf(
       "video streaming scenario: %lld MiB segments x %d, 40 Mbit/s access "

@@ -17,9 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "cc/congestion_controller.hpp"
+#include "sim/ring_queue.hpp"
 
 namespace quicsteps::cc {
 
@@ -76,9 +76,9 @@ class Bbr final : public CongestionController {
   double pacing_gain_;
   double cwnd_gain_;
 
-  // Windowed-max bandwidth filter: (round, sample) pairs, deque kept
+  // Windowed-max bandwidth filter: (round, sample) pairs, queue kept
   // monotonically decreasing in sample.
-  std::deque<std::pair<std::int64_t, net::DataRate>> bw_samples_;
+  sim::RingQueue<std::pair<std::int64_t, net::DataRate>> bw_samples_;
 
   sim::Duration min_rtt_ = sim::Duration::infinite();
   sim::Time min_rtt_stamp_;

@@ -38,6 +38,20 @@ std::optional<std::int64_t> env_whole_number(const char* name,
   return value;
 }
 
+std::int64_t whole_number_arg(const char* program, const char* name,
+                              const char* text, std::int64_t lo,
+                              std::int64_t hi) {
+  const auto value = parse_number(std::string_view(text), lo, hi);
+  if (!value) {
+    std::fprintf(stderr,
+                 "%s: %s needs a whole number in [%lld, %lld], got '%s'\n",
+                 program, name, static_cast<long long>(lo),
+                 static_cast<long long>(hi), text);
+    std::exit(2);
+  }
+  return *value;
+}
+
 std::int64_t env_payload_bytes(std::int64_t fallback) {
   const auto mib = env_whole_number("QUICSTEPS_PAYLOAD_MIB", 1, 1 << 20);
   return mib ? *mib * 1024 * 1024 : fallback;

@@ -136,6 +136,14 @@ std::optional<std::int64_t> env_whole_number(const char* name,
                                              std::int64_t lo,
                                              std::int64_t hi);
 
+/// The whole-number positional argument `name` of `program`. Anything
+/// but a whole number in [lo, hi] is a usage error: it prints
+/// "<program>: <name> needs a whole number in [lo, hi], got '<text>'" and
+/// exits 2.
+std::int64_t whole_number_arg(const char* program, const char* name,
+                              const char* text, std::int64_t lo,
+                              std::int64_t hi);
+
 /// Environment knobs shared by all benches:
 ///   QUICSTEPS_PAYLOAD_MIB — transfer size per repetition, 1..1048576
 ///                           (default 10)

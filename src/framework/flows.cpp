@@ -1,6 +1,7 @@
 #include "framework/flows.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -317,28 +318,67 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
   // (sampled flows only — exact for the sampled population).
   if (telemetry) timeseries->finalize();
 
-  // Demux the shared bus into per-flow traces: each traced flow gets the
-  // full component table plus only its own spans (ACKs included — they
-  // carry the flow's id on the return path).
   obs::TraceData all_spans;
   if (tracing) all_spans = trace_bus.take();
   if (telemetry && tracing) timeseries->fold_spans(all_spans.events);
 
   // Per-flow extraction. The event core above is inherently serial (one
   // shared bottleneck, one clock); what shards is this phase — demux
-  // finish, hash digest, fill_result, trace filtering — which touches only
-  // flow-indexed slots. Shard-merge determinism rules (DESIGN.md §14):
-  // every write lands in a slot preassigned to exactly one flow index
-  // (result.flows[i], goodputs[i], demux slot i), shards own disjoint
-  // index ranges, and everything cross-flow (fairness, registry fold)
-  // happens after the join, iterating flows[] in index order. Output is
-  // therefore bit-identical at any shard size and job count.
+  // finish, hash digest, fill_result, per-flow trace tables and sketches
+  // — which touches only flow-indexed slots. Shard-merge determinism
+  // rules (DESIGN.md §14): every write lands in a slot preassigned to
+  // exactly one flow index (result.flows[i], goodputs[i], flow_traces[i],
+  // demux slot i), shards own disjoint index ranges, and everything
+  // cross-flow (fairness, registry fold) happens after the join, iterating
+  // flows[] in index order. Output is therefore bit-identical at any
+  // shard size and job count.
   std::vector<double> goodputs(n);
   // Per-flow pacing-error sketch slots: each shard writes only its own
   // flows' slots; the fleet merge below reads them back in flows[] index
   // order, so the merged sketch is bit-identical at any shard plan (and
   // order-independent anyway — integer bucket adds commute).
   std::vector<obs::QuantileSketch> flow_sketches(telemetry && tracing ? n : 0);
+  // Each traced flow gets the full component table plus only its own
+  // spans (ACKs included — they carry the flow's id on the return path),
+  // split off the bus in one stable pass: count, reserve, fill.
+  std::vector<std::shared_ptr<obs::TraceData>> flow_traces(n);
+  if (tracing) {
+    std::vector<std::pair<std::uint32_t, std::size_t>> traced;  // id, index
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t id = net.host(i).flow_id();
+      if (config.flows[i].config.trace && sampler.sampled(id)) {
+        traced.emplace_back(id, i);
+      }
+    }
+    if (n == 1 && !traced.empty()) {
+      // Single flow: every span on the bus is this flow's — move the
+      // whole trace instead of copying it.
+      flow_traces[0] = std::make_shared<obs::TraceData>(std::move(all_spans));
+    } else if (!traced.empty()) {
+      std::sort(traced.begin(), traced.end());
+      auto index_of = [&traced, n](std::uint32_t flow) {
+        const auto it = std::lower_bound(
+            traced.begin(), traced.end(), flow,
+            [](const auto& entry, std::uint32_t key) {
+              return entry.first < key;
+            });
+        return it != traced.end() && it->first == flow ? it->second : n;
+      };
+      std::vector<std::size_t> counts(n, 0);
+      for (const obs::SpanEvent& ev : all_spans.events) {
+        const std::size_t i = index_of(ev.flow);
+        if (i < n) ++counts[i];
+      }
+      for (const auto& [id, i] : traced) {
+        flow_traces[i] = std::make_shared<obs::TraceData>();
+        flow_traces[i]->events.reserve(counts[i]);
+      }
+      for (const obs::SpanEvent& ev : all_spans.events) {
+        const std::size_t i = index_of(ev.flow);
+        if (i < n) flow_traces[i]->events.push_back(ev);
+      }
+    }
+  }
   auto extract_flow = [&](std::size_t i) {
     RunResult& flow_result = result.flows[i];
     net.host(i).endpoint().fill_result(flow_result);
@@ -353,21 +393,9 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
     if (captures[i] != nullptr) {
       flow_result.capture = std::move(captures[i]);
     }
-    if (tracing && config.flows[i].config.trace &&
-        sampler.sampled(net.host(i).flow_id())) {
-      const std::uint32_t id = net.host(i).flow_id();
-      auto flow_trace = std::make_shared<obs::TraceData>();
-      if (n == 1) {
-        // Single flow: every span on the bus is this flow's — move the
-        // whole trace instead of filter-copying it (the dominant cost of
-        // a traced 1-flow run before the batched-datapath work).
-        *flow_trace = std::move(all_spans);
-      } else {
-        flow_trace->components = all_spans.components;
-        for (const obs::SpanEvent& ev : all_spans.events) {
-          if (ev.flow == id) flow_trace->events.push_back(ev);
-        }
-      }
+    if (flow_traces[i] != nullptr) {
+      std::shared_ptr<obs::TraceData>& flow_trace = flow_traces[i];
+      if (n > 1) flow_trace->components = all_spans.components;
       if (!flow_sketches.empty()) {
         // Wire-stage pacing error into this flow's preassigned sketch
         // slot (merged fleet-wide after the join).

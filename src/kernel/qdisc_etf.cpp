@@ -1,5 +1,6 @@
 #include "kernel/qdisc_etf.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace quicsteps::kernel {
@@ -24,13 +25,23 @@ void EtfQdisc::deliver(net::Packet pkt) {
     return;
   }
 
-  timed_.emplace(pkt.txtime, std::move(pkt));
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(pkt));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(pkt);
+  }
+  timed_.push_back(Timed{slots_[slot].txtime, next_seq_++, slot});
+  std::push_heap(timed_.begin(), timed_.end(), later);
   arm_watchdog();
 }
 
 void EtfQdisc::arm_watchdog() {
   if (timed_.empty()) return;
-  const sim::Time head = timed_.begin()->first;
+  const sim::Time head = timed_.front().txtime;
   if (watchdog_.pending() && watchdog_at_ <= head) return;
   watchdog_.cancel();
   watchdog_at_ = head;
@@ -43,9 +54,10 @@ void EtfQdisc::arm_watchdog() {
 void EtfQdisc::on_watchdog() {
   const sim::Time now = loop_.now();
   // Everything entering its delta window leaves towards the driver now.
-  while (!timed_.empty() && timed_.begin()->first - config_.delta <= now) {
-    net::Packet pkt = std::move(timed_.begin()->second);
-    timed_.erase(timed_.begin());
+  while (!timed_.empty() && timed_.front().txtime - config_.delta <= now) {
+    const std::uint32_t slot = timed_.front().slot;
+    std::pop_heap(timed_.begin(), timed_.end(), later);
+    timed_.pop_back();
     // Kernel + driver path consumes a variable slice of the delta window;
     // the packet reaches the NIC after it. Without LaunchTime the NIC
     // transmits on arrival, so this spread is the ETF precision the paper
@@ -56,12 +68,16 @@ void EtfQdisc::on_watchdog() {
     const sim::Time release = sim::max(now + path, last_release_);
     last_release_ = release;
     loop_.schedule_at(release, sim::EventClass::kQueue,
-                      [this, pkt = std::move(pkt)]() mutable {
-                        forward(std::move(pkt));
-                      });
+                      [this, slot] { hand_to_driver(slot); });
   }
   watchdog_at_ = sim::Time::infinite();
   arm_watchdog();
+}
+
+void EtfQdisc::hand_to_driver(std::uint32_t slot) {
+  net::Packet pkt = std::move(slots_[slot]);
+  free_slots_.push_back(slot);
+  forward(std::move(pkt));
 }
 
 }  // namespace quicsteps::kernel

@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "kernel/os_model.hpp"
 #include "kernel/qdisc.hpp"
@@ -43,12 +43,31 @@ class EtfQdisc final : public Qdisc {
   std::int64_t late_drops() const { return late_drops_; }
 
  private:
+  /// A queued packet's place in the txtime order. Equal txtimes leave in
+  /// arrival order (the sequence number breaks the tie).
+  struct Timed {
+    sim::Time txtime;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  /// Heap order: the earliest (txtime, seq) sits at timed_.front().
+  static bool later(const Timed& a, const Timed& b) {
+    return a.txtime != b.txtime ? a.txtime > b.txtime : a.seq > b.seq;
+  }
+
   void arm_watchdog();
   void on_watchdog();
+  void hand_to_driver(std::uint32_t slot);
 
   Config config_;
   OsModel& os_;
-  std::multimap<sim::Time, net::Packet> timed_;
+  /// Packets live in recycled slots from enqueue until they reach the
+  /// driver, so neither the queue nor the driver-path closure (which
+  /// captures only [this, slot]) allocates per packet.
+  std::vector<net::Packet> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<Timed> timed_;  // min-heap on (txtime, seq)
+  std::uint64_t next_seq_ = 0;
   sim::EventHandle watchdog_;
   sim::Time watchdog_at_ = sim::Time::infinite();
   /// Releases are monotone: the driver queue preserves order, so a packet

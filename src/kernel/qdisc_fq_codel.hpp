@@ -10,9 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "kernel/qdisc.hpp"
+#include "sim/ring_queue.hpp"
 
 namespace quicsteps::kernel {
 
@@ -49,7 +49,7 @@ class FqCodelQdisc final : public Qdisc {
   bool codel_should_drop(sim::Time sojourn_ref, sim::Duration sojourn);
 
   Config config_;
-  std::deque<Entry> queue_;
+  sim::RingQueue<Entry> queue_;
   sim::Time drain_free_;  // when the virtual serializer is free
   bool drain_scheduled_ = false;
 

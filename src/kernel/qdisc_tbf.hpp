@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "kernel/qdisc.hpp"
 #include "net/packet_slab.hpp"
+#include "sim/ring_queue.hpp"
 
 namespace quicsteps::kernel {
 
@@ -45,7 +45,7 @@ class TbfQdisc final : public Qdisc {
 
   Config config_;
   net::PacketSlab& slab_;
-  std::deque<net::PacketSlab::Ref> queue_;
+  sim::RingQueue<net::PacketSlab::Ref> queue_;
   sim::DrainId wake_channel_;
   std::int64_t backlog_bytes_ = 0;
   double tokens_bytes_;

@@ -1,5 +1,7 @@
 #include "kernel/udp_socket.hpp"
 
+#include <iterator>
+
 namespace quicsteps::kernel {
 
 void UdpSocket::inject(net::Packet pkt) {
@@ -17,17 +19,21 @@ sim::Duration UdpSocket::sendmsg(net::Packet pkt) {
   return os_.draw_syscall_cost();
 }
 
-sim::Duration UdpSocket::sendmsg_gso(std::vector<net::Packet> segments,
+sim::Duration UdpSocket::sendmsg_gso(std::vector<net::Packet>& segments,
                                      net::DataRate gso_pacing_rate) {
   ++syscalls_;
-  // Draw a recycled buffer from the slab pool (the NIC returns husks once
-  // it has segmented them); only the first bursts of a run allocate.
+  // Draw a recycled buffer from the slab pool (the NIC returns husks, with
+  // their capacity, once it has segmented them); only the first bursts of
+  // a run allocate. Moving the segments in element-wise keeps both the
+  // husk's capacity and the caller's.
   std::shared_ptr<std::vector<net::Packet>> buffer =
       slab_ != nullptr ? slab_->take_gso_buffer() : nullptr;
   if (buffer == nullptr) {
     buffer = std::make_shared<std::vector<net::Packet>>();
   }
-  *buffer = std::move(segments);
+  buffer->assign(std::make_move_iterator(segments.begin()),
+                 std::make_move_iterator(segments.end()));
+  segments.clear();
   net::Packet carrier =
       make_gso_buffer(std::move(buffer), next_gso_id_++, gso_pacing_rate);
   inject(std::move(carrier));
@@ -35,11 +41,12 @@ sim::Duration UdpSocket::sendmsg_gso(std::vector<net::Packet> segments,
   return os_.draw_syscall_cost();
 }
 
-sim::Duration UdpSocket::sendmmsg(std::vector<net::Packet> packets) {
+sim::Duration UdpSocket::sendmmsg(std::vector<net::Packet>& packets) {
   ++syscalls_;
   for (auto& pkt : packets) {
     inject(std::move(pkt));
   }
+  packets.clear();
   // One kernel entry regardless of message count — the kernel loops over
   // the messages inside the syscall.
   return os_.draw_syscall_cost();
@@ -91,9 +98,10 @@ void UdpReceiver::drain_wakeup(void* self, std::uint32_t ref) {
 
 void UdpReceiver::flush() {
   ++wakeups_;
-  std::vector<net::Packet> batch;
-  batch.swap(gro_batch_);
-  for (auto& pkt : batch) hand_up(std::move(pkt));
+  // Packets arriving while the batch is handed up start the next batch.
+  gro_flushing_.swap(gro_batch_);
+  for (auto& pkt : gro_flushing_) hand_up(std::move(pkt));
+  gro_flushing_.clear();
 }
 
 void UdpReceiver::hand_up(net::Packet pkt) {

@@ -36,14 +36,15 @@ class UdpSocket : public obs::TraceSource {
 
   /// One sendmsg with UDP_SEGMENT: all segments travel as a single GSO
   /// buffer. `gso_pacing_rate` is the paced-GSO patch extension (zero for
-  /// stock GSO).
-  sim::Duration sendmsg_gso(std::vector<net::Packet> segments,
+  /// stock GSO). The segments are moved out and `segments` is left empty
+  /// with its capacity, ready for the caller's next batch.
+  sim::Duration sendmsg_gso(std::vector<net::Packet>& segments,
                             net::DataRate gso_pacing_rate);
 
   /// sendmmsg batching: one syscall, but each packet is a separate skb, so
   /// qdiscs can still pace them individually (paper Section 4.3 contrasts
-  /// this with GSO).
-  sim::Duration sendmmsg(std::vector<net::Packet> packets);
+  /// this with GSO). Empties `packets` like sendmsg_gso.
+  sim::Duration sendmmsg(std::vector<net::Packet>& packets);
 
   void set_egress(net::PacketSink* egress) { egress_ = egress; }
 
@@ -108,7 +109,10 @@ class UdpReceiver final : public net::PacketSink, public obs::TraceSource {
   std::int64_t buffered_bytes_ = 0;
   Handler handler_;
   net::Counters counters_;
+  // Double-buffered GRO: flush() swaps the filling batch into
+  // gro_flushing_ and hands it up, so neither vector loses its capacity.
   std::vector<net::Packet> gro_batch_;
+  std::vector<net::Packet> gro_flushing_;
   sim::EventHandle gro_timer_;
   std::int64_t wakeups_ = 0;
 };

@@ -156,11 +156,10 @@ void Connection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
   }
 
   // Loss detection keyed on the new largest acked.
-  auto loss_result = loss_.detect(sent_, largest_acked_, rtt_, now);
+  const auto& loss_result = loss_.detect(sent_, largest_acked_, rtt_, now);
   loss_timer_ = loss_result.next_loss_time;
   if (!loss_result.lost.empty()) {
-    handle_lost(std::move(loss_result.lost),
-                loss_result.persistent_congestion, now);
+    handle_lost(loss_result.lost, loss_result.persistent_congestion, now);
   }
 
   cc::AckSample sample;
@@ -182,12 +181,12 @@ void Connection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
   trace(now);
 }
 
-void Connection::handle_lost(std::vector<SentPacket> lost, bool persistent,
-                             sim::Time now) {
+void Connection::handle_lost(const std::vector<SentPacket>& lost,
+                             bool persistent, sim::Time now) {
   cc::LossSample sample;
   sample.now = now;
   sample.persistent_congestion = persistent;
-  for (auto& pkt : lost) {
+  for (const SentPacket& pkt : lost) {
     sample.lost_bytes += pkt.bytes;
     ++sample.lost_packets;
     sample.largest_lost_pn = std::max(sample.largest_lost_pn, pkt.pn);
@@ -219,10 +218,10 @@ sim::Time Connection::next_timer_deadline() const {
 void Connection::on_timer(sim::Time now) {
   // Time-threshold loss detection.
   if (!loss_timer_.is_infinite() && now >= loss_timer_) {
-    auto result = loss_.detect(sent_, largest_acked_, rtt_, now);
+    const auto& result = loss_.detect(sent_, largest_acked_, rtt_, now);
     loss_timer_ = result.next_loss_time;
     if (!result.lost.empty()) {
-      handle_lost(std::move(result.lost), result.persistent_congestion, now);
+      handle_lost(result.lost, result.persistent_congestion, now);
       return;
     }
   }

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 
@@ -22,6 +21,7 @@
 #include "quic/loss_detection.hpp"
 #include "quic/rtt_estimator.hpp"
 #include "quic/sent_packet_map.hpp"
+#include "sim/ring_queue.hpp"
 
 namespace quicsteps::quic {
 
@@ -158,7 +158,7 @@ class Connection {
   };
 
   Chunk next_chunk();
-  void handle_lost(std::vector<SentPacket> lost, bool persistent,
+  void handle_lost(const std::vector<SentPacket>& lost, bool persistent,
                    sim::Time now);
   void trace(sim::Time now);
 
@@ -174,7 +174,7 @@ class Connection {
   std::int64_t next_offset_ = 0;
   std::int64_t available_bytes_ = 0;  // app-limited availability watermark
   std::int64_t peer_max_data_ = 0;  // highest MAX_DATA seen
-  std::deque<Chunk> retransmit_queue_;
+  sim::RingQueue<Chunk> retransmit_queue_;
   ByteIntervalSet acked_;
   std::uint64_t largest_acked_ = 0;
   bool has_acked_anything_ = false;

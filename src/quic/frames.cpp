@@ -65,42 +65,48 @@ std::int64_t ByteIntervalSet::add(std::int64_t offset, std::int64_t length) {
   std::int64_t end = offset + length;
 
   // In-order fast path: back-to-back stream delivery appends at (or
-  // inside) the interval with the greatest start. Extending it in place
-  // skips the erase + re-insert tree rebalances of the general path. The
-  // last interval has no successor, so no absorption check is needed.
+  // inside) the interval with the greatest start, which is extended in
+  // place. The last interval has no successor, so no absorption check is
+  // needed.
   if (!intervals_.empty()) {
-    auto last = std::prev(intervals_.end());
-    if (start >= last->first && start <= last->second) {
-      if (end <= last->second) return 0;  // fully covered already
-      const std::int64_t new_bytes = end - last->second;
-      last->second = end;
+    Interval& last = intervals_.back();
+    if (start >= last.start && start <= last.end) {
+      if (end <= last.end) return 0;  // fully covered already
+      const std::int64_t new_bytes = end - last.end;
+      last.end = end;
       covered_ += new_bytes;
       return new_bytes;
     }
   }
 
-  // Absorb every interval overlapping or touching [start, end).
-  auto it = intervals_.upper_bound(start);
-  if (it != intervals_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= start) it = prev;
-  }
+  // Absorb every interval overlapping or touching [start, end): the first
+  // interval starting after `start`, or its predecessor if that reaches
+  // `start`, up to the last one starting at or before `end`.
+  auto first = std::upper_bound(
+      intervals_.begin(), intervals_.end(), start,
+      [](std::int64_t key, const Interval& iv) { return key < iv.start; });
+  if (first != intervals_.begin() && std::prev(first)->end >= start) --first;
+  auto last = first;
   std::int64_t absorbed = 0;
-  while (it != intervals_.end() && it->first <= end) {
-    start = std::min(start, it->first);
-    end = std::max(end, it->second);
-    absorbed += it->second - it->first;
-    it = intervals_.erase(it);
+  for (; last != intervals_.end() && last->start <= end; ++last) {
+    start = std::min(start, last->start);
+    end = std::max(end, last->end);
+    absorbed += last->end - last->start;
   }
-  intervals_.emplace(start, end);
+  if (first == last) {
+    intervals_.insert(first, Interval{start, end});
+  } else {
+    *first = Interval{start, end};
+    intervals_.erase(std::next(first), last);
+  }
   const std::int64_t new_bytes = (end - start) - absorbed;
   covered_ += new_bytes;
   return new_bytes;
 }
 
 std::int64_t ByteIntervalSet::contiguous_prefix() const {
-  if (intervals_.empty() || intervals_.begin()->first != 0) return 0;
-  return intervals_.begin()->second;
+  if (intervals_.empty() || intervals_.front().start != 0) return 0;
+  return intervals_.front().end;
 }
 
 }  // namespace quicsteps::quic

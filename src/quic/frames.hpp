@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -49,7 +48,9 @@ class PacketNumberSet {
 };
 
 /// Ordered set of received byte ranges (stream reassembly bookkeeping on
-/// the client; completion = one interval covering [0, total)).
+/// the client; completion = one interval covering [0, total)). Same layout
+/// as PacketNumberSet: a start-ascending vector of disjoint, non-touching
+/// half-open intervals, extended in place by in-order arrivals.
 class ByteIntervalSet {
  public:
   /// Adds [offset, offset + length); returns the number of NEW bytes.
@@ -60,7 +61,11 @@ class ByteIntervalSet {
   std::size_t interval_count() const { return intervals_.size(); }
 
  private:
-  std::map<std::int64_t, std::int64_t> intervals_;  // start -> end (excl.)
+  struct Interval {
+    std::int64_t start = 0;
+    std::int64_t end = 0;  // exclusive
+  };
+  std::vector<Interval> intervals_;
   std::int64_t covered_ = 0;
 };
 

@@ -8,11 +8,13 @@ sim::Duration LossDetection::loss_delay(const RttEstimator& rtt) const {
   return sim::max(delay, config_.granularity);
 }
 
-LossDetection::Result LossDetection::detect(SentPacketMap& map,
-                                            std::uint64_t largest_acked,
-                                            const RttEstimator& rtt,
-                                            sim::Time now) const {
-  Result result;
+const LossDetection::Result& LossDetection::detect(
+    SentPacketMap& map, std::uint64_t largest_acked, const RttEstimator& rtt,
+    sim::Time now) {
+  Result& result = result_;
+  result.lost.clear();
+  result.persistent_congestion = false;
+  result.next_loss_time = sim::Time::infinite();
   const sim::Duration delay = loss_delay(rtt);
   const sim::Time lost_send_time = now - delay;
 

@@ -34,9 +34,11 @@ class LossDetection {
   explicit LossDetection(Config config) : config_(config) {}
 
   /// Scans `map` for packets now considered lost given `largest_acked`.
-  /// Lost packets are REMOVED from the map during the scan.
-  Result detect(SentPacketMap& map, std::uint64_t largest_acked,
-                const RttEstimator& rtt, sim::Time now) const;
+  /// Lost packets are REMOVED from the map during the scan. The result is
+  /// a member buffer, valid until the next call, so a loss episode reuses
+  /// the capacity of the last one instead of allocating.
+  const Result& detect(SentPacketMap& map, std::uint64_t largest_acked,
+                       const RttEstimator& rtt, sim::Time now);
 
   /// PTO deadline given the oldest outstanding ack-eliciting packet.
   sim::Time pto_deadline(const SentPacketMap& map, const RttEstimator& rtt,
@@ -48,6 +50,7 @@ class LossDetection {
   sim::Duration loss_delay(const RttEstimator& rtt) const;
 
   Config config_;
+  Result result_;
 };
 
 }  // namespace quicsteps::quic

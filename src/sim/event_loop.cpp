@@ -152,6 +152,7 @@ void EventLoop::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
 void EventLoop::wheel_insert(const Rec& rec) {
   const std::uint64_t idx = bucket_index(rec.at_ns);
   std::vector<Rec>& b = wheel_[idx & kMask];
+  if (b.capacity() == 0) b.reserve(kBucketReserve);
   if (idx == active_idx_) {
     // The active bucket stays sorted latest-first between events: a
     // binary search places the record (at worst an O(bucket) memmove of

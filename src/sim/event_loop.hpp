@@ -190,6 +190,10 @@ class EventLoop {
   static constexpr std::uint64_t kBuckets = std::uint64_t{1} << kBucketBits;
   static constexpr std::uint64_t kMask = kBuckets - 1;
   static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
+  /// Records a bucket reserves the first time it is used: one allocation
+  /// instead of a growth chain from empty. Buckets keep their capacity as
+  /// the wheel turns, so only each simulation's first lap allocates.
+  static constexpr std::size_t kBucketReserve = 16;
 
   /// Callback storage, recycled through a free list. `gen` advances every
   /// time the slot's event runs or is cancelled, invalidating old handles.

@@ -8,7 +8,6 @@
 // the paper's per-stack wire signatures purely through these disciplines.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "kernel/udp_socket.hpp"
 #include "obs/trace.hpp"
 #include "quic/connection.hpp"
+#include "sim/ring_queue.hpp"
 #include "stacks/stack_profile.hpp"
 
 namespace quicsteps::stacks {
@@ -68,7 +68,7 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
   void attempt_send();
   void send_with_txtime();  // quiche discipline
   void send_waiting();      // ngtcp2 / picoquic discipline
-  void flush_gso_batch(std::vector<net::Packet> batch);
+  void flush_gso_batch();
   void rearm_loss_timer();
   void on_loss_timer();
   void charge_syscall();
@@ -80,7 +80,10 @@ class StackServer : public net::PacketSink, public obs::TraceSource {
   kernel::UdpSocket socket_;
   kernel::TimerService pacer_timers_;
 
-  std::deque<net::Packet> pending_acks_;
+  sim::RingQueue<net::Packet> pending_acks_;
+  // Send batches: the socket moves their packets out and clears them, so
+  // both keep their capacity from one sendmsg to the next.
+  std::vector<net::Packet> gso_batch_;
   std::vector<net::Packet> mmsg_batch_;
   sim::EventHandle batch_timer_;
   sim::EventHandle send_timer_;

@@ -1,7 +1,6 @@
 #include "tcp/tcp_connection.hpp"
 
 #include <algorithm>
-#include <vector>
 
 namespace quicsteps::tcp {
 
@@ -23,11 +22,11 @@ TcpConnection::TcpConnection(Config config)
 
 bool TcpConnection::has_data_to_send() const {
   return !retransmit_queue_.empty() ||
-         next_seq_ < static_cast<std::uint64_t>(total_segments_);
+         window_.next_seq() < static_cast<std::uint64_t>(total_segments_);
 }
 
 bool TcpConnection::congestion_blocked() const {
-  return bytes_in_flight_ + kSegmentSize > cc_->cwnd_bytes();
+  return window_.bytes_in_flight() + kSegmentSize > cc_->cwnd_bytes();
 }
 
 net::Packet TcpConnection::build_segment(sim::Time now) {
@@ -39,7 +38,7 @@ net::Packet TcpConnection::build_segment(sim::Time now) {
     retransmission = true;
     ++stats_.segments_retransmitted;
   } else {
-    seq = next_seq_++;
+    seq = window_.next_seq();
   }
 
   const std::int64_t payload =
@@ -57,10 +56,9 @@ net::Packet TcpConnection::build_segment(sim::Time now) {
   pkt.size_bytes = payload + (kSegmentSize - kPayloadPerSegment);
   pkt.fin = seq + 1 == static_cast<std::uint64_t>(total_segments_);
 
-  outstanding_[seq] = Outstanding{now, pkt.size_bytes, false, retransmission};
-  bytes_in_flight_ += pkt.size_bytes;
-  cc_->on_packet_sent(now, seq, pkt.size_bytes,
-                      bytes_in_flight_ - pkt.size_bytes);
+  cc_->on_packet_sent(now, seq, pkt.size_bytes, window_.bytes_in_flight());
+  window_.on_sent(seq, SegmentWindow::Segment{now, pkt.size_bytes,
+                                              retransmission});
   ++stats_.segments_sent;
   return pkt;
 }
@@ -79,18 +77,16 @@ void TcpConnection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
     if (block.first == 0) {
       cumulative_acked_ = std::max(cumulative_acked_, block.last + 1);
     }
-    auto it = outstanding_.lower_bound(block.first);
-    while (it != outstanding_.end() && it->first <= block.last) {
-      acked_bytes += it->second.bytes;
-      bytes_in_flight_ -= it->second.bytes;
-      if (!any || it->first > largest_acked) {
-        largest_acked = it->first;
-        largest_sent_time = it->second.time_sent;
-        largest_was_retransmitted = it->second.retransmitted;
-      }
-      any = true;
-      it = outstanding_.erase(it);
-    }
+    window_.ack(block.first, block.last,
+                [&](std::uint64_t seq, const SegmentWindow::Segment& seg) {
+                  acked_bytes += seg.bytes;
+                  if (!any || seq > largest_acked) {
+                    largest_acked = seq;
+                    largest_sent_time = seg.time_sent;
+                    largest_was_retransmitted = seg.retransmitted;
+                  }
+                  any = true;
+                });
   }
   if (transfer_complete() && stats_.completion_time.is_infinite()) {
     stats_.completion_time = now;
@@ -114,64 +110,62 @@ void TcpConnection::on_ack_packet(const net::Packet& pkt, sim::Time now) {
   sample.latest_rtt = rtt_.has_samples() ? rtt_.latest() : sim::Duration::zero();
   sample.smoothed_rtt = rtt_.smoothed();
   sample.min_rtt = rtt_.min();
-  sample.bytes_in_flight = bytes_in_flight_;
+  sample.bytes_in_flight = window_.bytes_in_flight();
   cc_->on_ack(sample);
 }
 
 void TcpConnection::run_loss_detection(sim::Time now) {
   // SACK/RACK-style: a hole is lost once `dupack_threshold` newer segments
   // were acked, or once it is older than the reordering time window.
-  if (highest_sacked_ == 0 && outstanding_.empty()) return;
+  if (highest_sacked_ == 0 && window_.empty()) return;
   const sim::Duration window =
       sim::max(rtt_.smoothed(), rtt_.latest()) * config_.time_threshold;
   const sim::Time lost_before = now - window;
 
   cc::LossSample sample;
   sample.now = now;
-  std::vector<std::uint64_t> lost;
   sim::Time next_loss = sim::Time::infinite();
-  for (auto& [seq, info] : outstanding_) {
-    if (seq >= highest_sacked_) break;
-    // RACK rule: a RETRANSMITTED segment keeps its old (small) sequence
-    // number, so sequence-distance to newer SACKs says nothing about it —
-    // judge it only by the time window from its own (re)send time.
-    const bool seq_lost = !info.retransmitted &&
-                          highest_sacked_ >= seq + config_.dupack_threshold;
-    if (seq_lost || info.time_sent <= lost_before) {
-      lost.push_back(seq);
-      sample.lost_bytes += info.bytes;
-      ++sample.lost_packets;
-      sample.largest_lost_pn = seq;
-      sample.largest_lost_sent_time =
-          sim::max(sample.largest_lost_sent_time, info.time_sent);
-    } else {
-      next_loss = sim::min(next_loss, info.time_sent + window);
-    }
-  }
+  window_.declare_lost_below_if(
+      highest_sacked_,
+      [&](std::uint64_t seq, const SegmentWindow::Segment& seg) {
+        // RACK rule: a RETRANSMITTED segment keeps its old (small)
+        // sequence number, so sequence-distance to newer SACKs says
+        // nothing about it — judge it only by the time window from its
+        // own (re)send time.
+        const bool seq_lost =
+            !seg.retransmitted &&
+            highest_sacked_ >= seq + config_.dupack_threshold;
+        if (!seq_lost && seg.time_sent > lost_before) {
+          next_loss = sim::min(next_loss, seg.time_sent + window);
+          return false;
+        }
+        sample.lost_bytes += seg.bytes;
+        ++sample.lost_packets;
+        sample.largest_lost_pn = seq;
+        sample.largest_lost_sent_time =
+            sim::max(sample.largest_lost_sent_time, seg.time_sent);
+        retransmit_queue_.push_back(seq);
+        ++stats_.segments_declared_lost;
+        return true;
+      });
   loss_timer_ = next_loss;
-  if (lost.empty()) return;
+  if (sample.lost_packets == 0) return;
 
-  for (std::uint64_t seq : lost) {
-    bytes_in_flight_ -= outstanding_.at(seq).bytes;
-    outstanding_.erase(seq);
-    retransmit_queue_.push_back(seq);
-    ++stats_.segments_declared_lost;
-  }
   std::sort(retransmit_queue_.begin(), retransmit_queue_.end());
-  sample.bytes_in_flight = bytes_in_flight_;
+  sample.bytes_in_flight = window_.bytes_in_flight();
   cc_->on_loss(sample);
 }
 
 sim::Time TcpConnection::next_timer_deadline() const {
   sim::Time deadline = loss_timer_;
-  if (!outstanding_.empty()) {
+  if (!window_.empty()) {
     // RTO: conservative lower bound of 200 ms (Linux TCP_RTO_MIN), doubled
     // per backoff.
     sim::Duration rto =
         sim::max(rtt_.pto_interval(config_.max_ack_delay),
                  sim::Duration::millis(200));
     for (int i = 0; i < rto_count_; ++i) rto = rto * 2;
-    deadline = sim::min(deadline, outstanding_.begin()->second.time_sent + rto);
+    deadline = sim::min(deadline, window_.oldest_segment().time_sent + rto);
   }
   return deadline;
 }
@@ -181,13 +175,12 @@ void TcpConnection::on_timer(sim::Time now) {
     run_loss_detection(now);
     return;
   }
-  if (outstanding_.empty()) return;
+  if (window_.empty()) return;
   // Retransmission timeout.
   ++rto_count_;
   ++stats_.rto_fired;
-  const std::uint64_t seq = outstanding_.begin()->first;
-  bytes_in_flight_ -= outstanding_.begin()->second.bytes;
-  outstanding_.erase(outstanding_.begin());
+  const std::uint64_t seq = window_.oldest();
+  window_.declare_oldest_lost();
   retransmit_queue_.push_front(seq);
   ++stats_.segments_declared_lost;
 
@@ -197,7 +190,7 @@ void TcpConnection::on_timer(sim::Time now) {
   sample.lost_packets = 1;
   sample.largest_lost_pn = seq;
   sample.largest_lost_sent_time = now;  // forces a fresh congestion event
-  sample.bytes_in_flight = bytes_in_flight_;
+  sample.bytes_in_flight = window_.bytes_in_flight();
   sample.persistent_congestion = rto_count_ >= 2;
   cc_->on_loss(sample);
 }

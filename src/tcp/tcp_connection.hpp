@@ -16,12 +16,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <memory>
 
 #include "cc/cc_factory.hpp"
 #include "net/packet.hpp"
 #include "quic/rtt_estimator.hpp"
+#include "sim/ring_queue.hpp"
+#include "tcp/segment_window.hpp"
 
 namespace quicsteps::tcp {
 
@@ -67,18 +68,11 @@ class TcpConnection {
   const Stats& stats() const { return stats_; }
   const cc::CongestionController& controller() const { return *cc_; }
   const quic::RttEstimator& rtt() const { return rtt_; }
-  std::int64_t bytes_in_flight() const { return bytes_in_flight_; }
+  std::int64_t bytes_in_flight() const { return window_.bytes_in_flight(); }
   std::int64_t cwnd_bytes() const { return cc_->cwnd_bytes(); }
   std::int64_t total_segments() const { return total_segments_; }
 
  private:
-  struct Outstanding {
-    sim::Time time_sent;
-    std::int64_t bytes = kSegmentSize;
-    bool sacked = false;
-    bool retransmitted = false;
-  };
-
   void run_loss_detection(sim::Time now);
 
   Config config_;
@@ -86,12 +80,10 @@ class TcpConnection {
   quic::RttEstimator rtt_;
 
   std::int64_t total_segments_;
-  std::uint64_t next_seq_ = 0;          // next NEW segment index
   std::uint64_t cumulative_acked_ = 0;  // segments [0, cum) delivered
   std::uint64_t highest_sacked_ = 0;
-  std::map<std::uint64_t, Outstanding> outstanding_;
-  std::deque<std::uint64_t> retransmit_queue_;
-  std::int64_t bytes_in_flight_ = 0;
+  SegmentWindow window_;  // next_seq() is the next NEW segment index
+  sim::RingQueue<std::uint64_t> retransmit_queue_;
   std::uint64_t next_packet_id_ = 1;
 
   sim::Time loss_timer_ = sim::Time::infinite();

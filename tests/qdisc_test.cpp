@@ -262,6 +262,30 @@ TEST_F(QdiscTest, EtfOrdersByTxtime) {
   EXPECT_EQ(sink.packets()[0].id, 1u);
 }
 
+TEST_F(QdiscTest, EtfKeepsArrivalOrderForEqualTxtimes) {
+  // Three txtime groups, interleaved on arrival: packets sharing a txtime
+  // leave in the order they arrived, groups in txtime order.
+  EtfQdisc::Config cfg;
+  cfg.driver_path_stddev = Duration::zero();
+  EtfQdisc etf(loop, cfg, os, &sink);
+  const Time at[] = {Time::zero() + 3_ms, Time::zero() + 2_ms,
+                     Time::zero() + 4_ms};
+  for (std::uint64_t id = 0; id < 30; ++id) {
+    etf.deliver(timed_packet(id, at[id % 3]));
+  }
+  EXPECT_EQ(etf.queued_packets(), 30u);
+  loop.run();
+  ASSERT_EQ(sink.packets().size(), 30u);
+  std::vector<std::uint64_t> expect;
+  for (std::uint64_t group : {1, 0, 2}) {
+    for (std::uint64_t id = group; id < 30; id += 3) expect.push_back(id);
+  }
+  std::vector<std::uint64_t> got;
+  for (const Packet& p : sink.packets()) got.push_back(p.id);
+  EXPECT_EQ(got, expect);
+  EXPECT_EQ(etf.queued_packets(), 0u);
+}
+
 TEST_F(QdiscTest, TbfShapesToConfiguredRate) {
   // 10 packets of 1500 B at 40 Mbit/s with a 1-packet bucket: packet 0
   // leaves on the full bucket immediately, then one packet per 300 us.

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "net/link.hpp"
@@ -116,6 +117,43 @@ TEST(ByteIntervalSet, GapBlocksPrefix) {
   set.add(100, 100);  // fill the gap
   EXPECT_EQ(set.contiguous_prefix(), 300);
   EXPECT_EQ(set.interval_count(), 1u);
+}
+
+// Differential run against an ordered set of covered byte offsets: random
+// overlapping, touching and disjoint adds, in and out of order.
+TEST(ByteIntervalSet, MatchesAnOrderedByteSetModel) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    sim::Rng rng(seed);
+    ByteIntervalSet set;
+    std::set<std::int64_t> model;
+    for (int op = 0; op < 2'000; ++op) {
+      // Mostly in order near the frontier, sometimes anywhere behind it.
+      const std::int64_t frontier =
+          model.empty() ? 0 : *model.rbegin() + 1;
+      const std::int64_t offset =
+          rng.chance(0.6)
+              ? std::max<std::int64_t>(0, frontier + rng.uniform(-4, 8))
+              : rng.uniform(0, frontier + 16);
+      const std::int64_t length = rng.uniform(-1, 24);
+      std::int64_t expect_new = 0;
+      for (std::int64_t b = offset; b < offset + length; ++b) {
+        expect_new += model.insert(b).second ? 1 : 0;
+      }
+      ASSERT_EQ(set.add(offset, length), expect_new) << seed << "/" << op;
+      ASSERT_EQ(set.covered_bytes(), static_cast<std::int64_t>(model.size()));
+      if (op % 16 != 0) continue;  // the full walks below are O(model)
+      std::int64_t prefix = 0;
+      while (model.count(prefix) == 1) ++prefix;
+      ASSERT_EQ(set.contiguous_prefix(), prefix) << seed << "/" << op;
+      std::size_t runs = 0;
+      std::int64_t prev = -2;
+      for (std::int64_t b : model) {
+        runs += b != prev + 1 ? 1 : 0;
+        prev = b;
+      }
+      ASSERT_EQ(set.interval_count(), runs) << seed << "/" << op;
+    }
+  }
 }
 
 // -------------------------------------------------------------------- RTT

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <iterator>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <random>
 #include <set>
 #include <tuple>
@@ -14,6 +17,7 @@
 
 #include "sim/event_loop.hpp"
 #include "sim/random.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/time.hpp"
 
 namespace quicsteps::sim {
@@ -476,6 +480,100 @@ TEST(EventLoop, MatchesReferenceModelOnRandomSchedules) {
       EXPECT_GT(loop.stats().drain_batched, 0u);
     }
   }
+}
+
+// ------------------------------------------------------------- RingQueue
+
+TEST(RingQueue, MatchesDequeOnRandomPushPop) {
+  for (std::uint64_t seed : {1, 2, 3, 4}) {
+    Rng rng(seed);
+    RingQueue<std::uint64_t> ring;
+    std::deque<std::uint64_t> model;
+    EXPECT_EQ(ring.capacity(), 0u);  // nothing allocated until first push
+    for (std::uint64_t op = 0; op < 20'000; ++op) {
+      // Drift between growing and shrinking phases so the ring wraps, fills
+      // and grows while wrapped, and drains to empty.
+      const bool grow_phase = (op / 500) % 2 == 0;
+      const std::int64_t kind = rng.uniform(0, 9);
+      if (kind < (grow_phase ? 6 : 3)) {
+        if (rng.chance(0.5)) {
+          ring.push_back(op);
+          model.push_back(op);
+        } else {
+          ring.push_front(op);
+          model.push_front(op);
+        }
+      } else if (!model.empty()) {
+        if (rng.chance(0.7)) {
+          ASSERT_EQ(ring.front(), model.front());
+          ring.pop_front();
+          model.pop_front();
+        } else {
+          ASSERT_EQ(ring.back(), model.back());
+          ring.pop_back();
+          model.pop_back();
+        }
+      }
+      ASSERT_EQ(ring.size(), model.size()) << seed << "/" << op;
+      ASSERT_EQ(ring.empty(), model.empty());
+      if (op % 97 == 0) {
+        ASSERT_TRUE(std::equal(ring.begin(), ring.end(), model.begin(),
+                               model.end()));
+        for (std::size_t i = 0; i < model.size(); ++i) {
+          ASSERT_EQ(ring[i], model[i]);
+        }
+      }
+    }
+    // Capacity is a power of two at the high-water mark, never shrunk.
+    EXPECT_EQ(ring.capacity() & (ring.capacity() - 1), 0u);
+  }
+}
+
+TEST(RingQueue, GrowsWhileWrappedKeepingOrder) {
+  RingQueue<int> ring;
+  ring.push_back(0);
+  const int cap = static_cast<int>(ring.capacity());
+  for (int i = 1; i < cap; ++i) ring.push_back(i);         // full
+  for (int i = 0; i < cap - 3; ++i) ring.pop_front();      // head near the end
+  for (int i = cap; i < 2 * cap - 3; ++i) ring.push_back(i);  // wraps, full
+  ASSERT_EQ(ring.capacity(), static_cast<std::size_t>(cap));
+  ring.push_front(cap - 4);  // full and wrapped: grows
+  ring.push_back(2 * cap - 3);
+  EXPECT_EQ(ring.capacity(), static_cast<std::size_t>(2 * cap));
+  std::vector<int> expect(static_cast<std::size_t>(cap + 2));
+  std::iota(expect.begin(), expect.end(), cap - 4);
+  EXPECT_EQ(std::vector<int>(ring.begin(), ring.end()), expect);
+}
+
+TEST(RingQueue, SortsThroughItsIteratorsAcrossTheWrap) {
+  RingQueue<int> ring;
+  ring.push_back(0);
+  const int cap = static_cast<int>(ring.capacity());
+  for (int i = 1; i < cap; ++i) ring.push_back(100 + i);
+  for (int i = 0; i < cap - 2; ++i) ring.pop_front();  // keeps 2 at the end
+  for (int v : {9, 3, 7, 1, 8}) ring.push_back(v);      // wraps
+  ASSERT_EQ(ring.capacity(), static_cast<std::size_t>(cap));
+  std::sort(ring.begin(), ring.end());
+  EXPECT_EQ(std::vector<int>(ring.begin(), ring.end()),
+            (std::vector<int>{1, 3, 7, 8, 9, 100 + cap - 2, 100 + cap - 1}));
+}
+
+TEST(RingQueue, PopReleasesHeldSharedPtrs) {
+  auto held = std::make_shared<int>(7);
+  RingQueue<std::shared_ptr<int>> ring;
+  for (int i = 0; i < 20; ++i) ring.push_back(held);  // grows once at least
+  EXPECT_EQ(held.use_count(), 21);
+  ring.pop_front();
+  ring.pop_back();
+  EXPECT_EQ(held.use_count(), 19);  // released on pop, not on slot reuse
+  RingQueue<std::shared_ptr<int>> copy = ring;
+  EXPECT_EQ(held.use_count(), 37);
+  RingQueue<std::shared_ptr<int>> moved = std::move(copy);
+  EXPECT_EQ(held.use_count(), 37);
+  moved.clear();
+  EXPECT_EQ(held.use_count(), 19);
+  while (!ring.empty()) ring.pop_front();
+  EXPECT_EQ(held.use_count(), 1);
 }
 
 TEST(Rng, DeterministicForSameSeed) {

@@ -3,9 +3,16 @@
 // Karn's rule, RTO behavior, and an end-to-end transfer.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <set>
+#include <vector>
+
 #include "net/link.hpp"
+#include "sim/random.hpp"
 #include "tcp/tcp_client.hpp"
 #include "tcp/tcp_connection.hpp"
+#include "tcp/segment_window.hpp"
 #include "tcp/tcp_server.hpp"
 
 namespace quicsteps::tcp {
@@ -36,6 +43,104 @@ Packet tcp_ack(std::vector<AckBlock> blocks,
   ack->ack_delay = delay;
   pkt.ack = std::move(ack);
   return pkt;
+}
+
+// Differential run of the send window against std::map/std::set models of
+// the in-flight and lost segments: new sends, retransmissions of lost
+// segments, overlapping ACK ranges, loss scans and RTOs.
+TEST(SegmentWindow, MatchesAnOrderedMapModel) {
+  using Segment = SegmentWindow::Segment;
+  for (std::uint64_t seed : {1, 2, 3}) {
+    sim::Rng rng(seed);
+    SegmentWindow window;
+    std::map<std::uint64_t, Segment> in_flight;
+    std::set<std::uint64_t> lost;
+    std::uint64_t next = 0;
+    std::int64_t model_bytes = 0;
+    auto declare_lost = [&](std::map<std::uint64_t, Segment>::iterator it) {
+      model_bytes -= it->second.bytes;
+      lost.insert(it->first);
+      return in_flight.erase(it);
+    };
+    auto random_seq = [&] {
+      return static_cast<std::uint64_t>(
+          rng.uniform(0, static_cast<std::int64_t>(next) + 2));
+    };
+    for (int op = 0; op < 10'000; ++op) {
+      const Time now = Time::zero() + Duration::micros(op);
+      const std::int64_t kind = rng.uniform(0, 9);
+      if (kind < 4 || (kind == 4 && lost.empty())) {  // new segment
+        const Segment seg{now, rng.uniform(66, 1500), false};
+        window.on_sent(next, seg);
+        in_flight.emplace(next++, seg);
+        model_bytes += seg.bytes;
+      } else if (kind == 4) {  // retransmit a lost segment
+        auto it = lost.begin();
+        std::advance(it, rng.uniform(
+                             0, static_cast<std::int64_t>(lost.size()) - 1));
+        const Segment seg{now, rng.uniform(66, 1500), true};
+        window.on_sent(*it, seg);
+        in_flight.emplace(*it, seg);
+        model_bytes += seg.bytes;
+        lost.erase(it);
+      } else if (kind < 7) {  // ACK one range
+        const std::uint64_t first = random_seq();
+        const std::uint64_t last =
+            first + static_cast<std::uint64_t>(rng.uniform(0, 12));
+        std::vector<std::uint64_t> got;
+        window.ack(first, last, [&](std::uint64_t seq, const Segment& seg) {
+          got.push_back(seq);
+          EXPECT_EQ(seg.bytes, in_flight.at(seq).bytes);
+        });
+        std::vector<std::uint64_t> expect;
+        for (auto it = in_flight.lower_bound(first);
+             it != in_flight.end() && it->first <= last;) {
+          expect.push_back(it->first);
+          model_bytes -= it->second.bytes;
+          it = in_flight.erase(it);
+        }
+        ASSERT_EQ(got, expect) << seed << "/" << op;
+      } else if (kind < 9) {  // loss scan below a bound
+        const std::uint64_t bound = random_seq();
+        const std::uint64_t stride =
+            static_cast<std::uint64_t>(rng.uniform(1, 4));
+        auto pred = [&](std::uint64_t seq, const Segment& seg) {
+          return seg.retransmitted || seq % stride == 0;
+        };
+        std::vector<std::uint64_t> got;
+        window.declare_lost_below_if(
+            bound, [&](std::uint64_t seq, const Segment& seg) {
+              const bool is_lost = pred(seq, seg);
+              if (is_lost) got.push_back(seq);
+              return is_lost;
+            });
+        std::vector<std::uint64_t> expect;
+        for (auto it = in_flight.begin();
+             it != in_flight.end() && it->first < bound;) {
+          if (!pred(it->first, it->second)) {
+            ++it;
+            continue;
+          }
+          expect.push_back(it->first);
+          it = declare_lost(it);
+        }
+        ASSERT_EQ(got, expect) << seed << "/" << op;
+      } else if (!in_flight.empty()) {  // RTO on the oldest
+        ASSERT_EQ(window.oldest(), in_flight.begin()->first);
+        window.declare_oldest_lost();
+        declare_lost(in_flight.begin());
+      }
+      ASSERT_EQ(window.next_seq(), next) << seed << "/" << op;
+      ASSERT_EQ(window.in_flight(), in_flight.size()) << seed << "/" << op;
+      ASSERT_EQ(window.empty(), in_flight.empty());
+      ASSERT_EQ(window.bytes_in_flight(), model_bytes) << seed << "/" << op;
+      if (!in_flight.empty()) {
+        ASSERT_EQ(window.oldest(), in_flight.begin()->first);
+        ASSERT_EQ(window.oldest_segment().time_sent,
+                  in_flight.begin()->second.time_sent);
+      }
+    }
+  }
 }
 
 TEST(TcpConnection, BuildsSequentialSegments) {
