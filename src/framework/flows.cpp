@@ -7,7 +7,6 @@
 
 #include "check/audit.hpp"
 #include "check/determinism_hasher.hpp"
-#include "framework/parallel_for.hpp"
 #include "framework/runner.hpp"
 #include "metrics/capture_analysis.hpp"
 #include "obs/path_timeline.hpp"
@@ -60,31 +59,30 @@ SenderHost::SenderHost(sim::EventLoop& loop, const FlowSpec& spec,
 
 Network::Network(sim::EventLoop& loop, const MultiFlowConfig& config,
                  sim::Rng& rng, std::vector<RunResult>& live_results)
-    : loop_(loop),
-      hosts_(config.flows.size()),
-      deadline_(sim::Time::zero() + flows_deadline(config)) {
+    : loop_(loop), deadline_(sim::Time::zero() + flows_deadline(config)) {
   QUICSTEPS_AUDIT(!config.flows.empty(), "Network needs at least one flow");
   QUICSTEPS_AUDIT(live_results.size() == config.flows.size(),
                   "live_results must be sized to the flow count");
   if (config.flows.empty()) return;
   const std::size_t n = config.flows.size();
+  // Reserved up front: the path and the hosts hold references into both
+  // vectors, so neither may ever reallocate.
+  oses_.reserve(n);
+  hosts_.reserve(n);
 
   // Host 0's kernel also runs the shared server-side ACK receiver, as a
   // single server OS serves both roles on the paper's one-sender path.
-  // Its slot is reserved and its OS lane built before the path, which
-  // borrows the OsModel&. Per-host OS salts are 1 + 16*i: host 0 keeps
-  // the historical fork(1) so an N=1 run is bit-identical to the old
-  // wiring, and salts 2-4 stay reserved for the shared path.
-  const FlowStateSlab<SenderHost>::Handle host0 = hosts_.reserve_slot();
-  kernel::OsModel& host0_os = hosts_.emplace_os(
-      host0, config.flows[0].config.topology.server_os, rng.fork(1));
+  // Its OS model is built before the path, which borrows it. Per-host OS
+  // salts are 1 + 16*i: host 0 keeps the historical fork(1) so an N=1 run
+  // is bit-identical to the old wiring, and salts 2-4 stay reserved for
+  // the shared path.
+  oses_.emplace_back(config.flows[0].config.topology.server_os, rng.fork(1));
   path_ = std::make_unique<BottleneckPath>(
-      loop, config.flows[0].config.topology, rng, host0_os);
+      loop, config.flows[0].config.topology, rng, oses_[0]);
 
   // Routes are bulk-registered: reserve, append per host, sort once at
   // finish (an O(n) insert per flow is O(n^2) at 10k routes).
   path_->begin_flow_registration(n);
-  handles_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     FlowSpec spec = config.flows[i];
     const std::uint32_t id = default_flow_id(spec, i, n);
@@ -92,22 +90,18 @@ Network::Network(sim::EventLoop& loop, const MultiFlowConfig& config,
       // One qlog file per flow, not N writers on one file.
       spec.config.qlog_path += ".flow" + std::to_string(id);
     }
-    const FlowStateSlab<SenderHost>::Handle handle =
-        i == 0 ? host0 : hosts_.reserve_slot();
     if (i != 0) {
-      hosts_.emplace_os(handle, spec.config.topology.server_os,
-                        rng.fork(1 + 16 * static_cast<std::uint64_t>(i)));
+      oses_.emplace_back(spec.config.topology.server_os,
+                         rng.fork(1 + 16 * static_cast<std::uint64_t>(i)));
     }
-    hosts_.emplace_record(handle, loop, spec, id, config.seed,
-                          hosts_.os(handle), *path_, live_results[i]);
-    handles_.push_back(handle);
+    hosts_.emplace_back(loop, spec, id, config.seed, oses_[i], *path_,
+                        live_results[i]);
   }
   path_->finish_flow_registration();
 }
 
 void Network::start() {
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
-    SenderHost& flow_host = host(i);
+  for (SenderHost& flow_host : hosts_) {
     if (flow_host.start_delay().is_zero()) {
       flow_host.start();
       continue;
@@ -123,26 +117,25 @@ void Network::start() {
 
 void Network::set_trace(obs::TraceBus& bus, const obs::FlowSampler& sampler) {
   bus.set_sampler(sampler);
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
     // Sender-side components of unsampled flows never get a bus: their
     // QUICSTEPS_TRACE_SPAN sites stay on the null-pointer fast path, so an
     // unsampled flow costs the same as an untraced one.
-    if (!sampler.sampled(host(i).flow_id())) continue;
+    if (!sampler.sampled(hosts_[i].flow_id())) continue;
     const std::string prefix =
-        handles_.size() == 1 ? std::string()
-                             : "host" + std::to_string(i) + "/";
-    host(i).set_trace(bus, prefix);
+        hosts_.size() == 1 ? std::string() : "host" + std::to_string(i) + "/";
+    hosts_[i].set_trace(bus, prefix);
   }
   path_->set_trace(bus);
 }
 
 net::CountersTable Network::counters_table() const {
   net::CountersTable table;
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
-    const SenderHost& flow_host = hosts_.record(handles_[i]);
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    const SenderHost& flow_host = hosts_[i];
     const std::string prefix =
-        handles_.size() == 1 ? std::string("qdisc/")
-                             : "host" + std::to_string(i) + "/qdisc/";
+        hosts_.size() == 1 ? std::string("qdisc/")
+                           : "host" + std::to_string(i) + "/qdisc/";
     table.add(prefix + flow_host.qdisc().name(), flow_host.qdisc().counters());
   }
   path_->add_counters(table);
@@ -151,11 +144,11 @@ net::CountersTable Network::counters_table() const {
 
 check::ConservationAuditor Network::conservation_auditor() const {
   check::ConservationAuditor auditor;
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
-    const SenderHost& flow_host = hosts_.record(handles_[i]);
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    const SenderHost& flow_host = hosts_[i];
     const std::string prefix =
-        handles_.size() == 1 ? std::string("qdisc/")
-                             : "host" + std::to_string(i) + "/qdisc/";
+        hosts_.size() == 1 ? std::string("qdisc/")
+                           : "host" + std::to_string(i) + "/qdisc/";
     const kernel::Qdisc& qdisc = flow_host.qdisc();
     if (qdisc.backlog_packets() >= 0) {
       // The discipline reports its live depth: audit the full per-stage
@@ -196,17 +189,6 @@ sim::Duration flows_deadline(const MultiFlowConfig& config) {
 }
 
 MultiFlowResult run_flows(const MultiFlowConfig& config) {
-  // One shard, inline: the historical serial path. run_flows_sharded is
-  // bit-identical at any plan, so this is a convenience, not a semantics
-  // fork (flows_test asserts the equivalence at N=1000).
-  ShardPlan serial;
-  serial.shard_size = 0;
-  serial.jobs = 1;
-  return run_flows_sharded(config, serial);
-}
-
-MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
-                                  const ShardPlan& shards) {
   MultiFlowResult result;
   if (config.flows.empty()) return result;
 
@@ -239,9 +221,8 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
     trace_bus.reserve(hint / sampler.every() + 1024);
   }
 
-  // Fleet telemetry: the windowed time series rides the serial event core
-  // (fed from the tap callback below), so serial and sharded runs produce
-  // byte-identical series. Counter snapshots land at window rolls.
+  // Fleet telemetry: the windowed time series rides the event core (fed
+  // from the tap callback below). Counter snapshots land at window rolls.
   const bool telemetry = !config.telemetry_window.is_zero();
   std::unique_ptr<obs::TimeSeries> timeseries;
   obs::TimeSeries* ts = nullptr;
@@ -322,22 +303,6 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
   if (tracing) all_spans = trace_bus.take();
   if (telemetry && tracing) timeseries->fold_spans(all_spans.events);
 
-  // Per-flow extraction. The event core above is inherently serial (one
-  // shared bottleneck, one clock); what shards is this phase — demux
-  // finish, hash digest, fill_result, per-flow trace tables and sketches
-  // — which touches only flow-indexed slots. Shard-merge determinism
-  // rules (DESIGN.md §14): every write lands in a slot preassigned to
-  // exactly one flow index (result.flows[i], goodputs[i], flow_traces[i],
-  // demux slot i), shards own disjoint index ranges, and everything
-  // cross-flow (fairness, registry fold) happens after the join, iterating
-  // flows[] in index order. Output is therefore bit-identical at any
-  // shard size and job count.
-  std::vector<double> goodputs(n);
-  // Per-flow pacing-error sketch slots: each shard writes only its own
-  // flows' slots; the fleet merge below reads them back in flows[] index
-  // order, so the merged sketch is bit-identical at any shard plan (and
-  // order-independent anyway — integer bucket adds commute).
-  std::vector<obs::QuantileSketch> flow_sketches(telemetry && tracing ? n : 0);
   // Each traced flow gets the full component table plus only its own
   // spans (ACKs included — they carry the flow's id on the return path),
   // split off the bus in one stable pass: count, reserve, fill.
@@ -379,47 +344,6 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
       }
     }
   }
-  auto extract_flow = [&](std::size_t i) {
-    RunResult& flow_result = result.flows[i];
-    net.host(i).endpoint().fill_result(flow_result);
-    metrics::CaptureAnalysis analysis = demux.finish(i);
-    flow_result.gaps = std::move(analysis.gaps);
-    flow_result.trains = std::move(analysis.trains);
-    flow_result.precision = std::move(analysis.precision);
-    flow_result.wire_data_packets = analysis.wire_data_packets;
-    flow_result.wire_hash = hashers[i].digest();
-    flow_result.dropped_packets =
-        net.path().bottleneck_drops(net.host(i).flow_id());
-    if (captures[i] != nullptr) {
-      flow_result.capture = std::move(captures[i]);
-    }
-    if (flow_traces[i] != nullptr) {
-      std::shared_ptr<obs::TraceData>& flow_trace = flow_traces[i];
-      if (n > 1) flow_trace->components = all_spans.components;
-      if (!flow_sketches.empty()) {
-        // Wire-stage pacing error into this flow's preassigned sketch
-        // slot (merged fleet-wide after the join).
-        obs::QuantileSketch& sketch = flow_sketches[i];
-        for (const obs::SpanEvent& ev : flow_trace->events) {
-          if (ev.stage == obs::TraceStage::kWire && ev.intended.ns() != 0) {
-            sketch.observe((ev.at - ev.intended).us());
-          }
-        }
-      }
-      flow_result.trace = std::move(flow_trace);
-    }
-    goodputs[i] = flow_result.goodput.goodput.mbps();
-  };
-  const std::size_t shard_size =
-      shards.shard_size == 0 ? n : std::min(shards.shard_size, n);
-  const std::size_t shard_count = (n + shard_size - 1) / shard_size;
-  parallel_for(shard_count, shards.jobs, [&](std::size_t s) {
-    const std::size_t begin = s * shard_size;
-    const std::size_t end = std::min(n, begin + shard_size);
-    for (std::size_t i = begin; i < end; ++i) extract_flow(i);
-  });
-  result.fairness = jain_index(goodputs);
-  result.bottleneck_drops = net.path().bottleneck_drops();
 
   // Self-measurement: fold the counter table, the loop profile, and the
   // per-flow ledgers into one deterministic registry.
@@ -443,8 +367,30 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
                   static_cast<std::int64_t>(ls.drain_batched));
   reg.set_gauge("loop/max_pending",
                 static_cast<std::int64_t>(ls.max_pending));
+  // Fleet wire-stage pacing error over the sampled flows (a fleet tail).
+  obs::QuantileSketch* fleet_pacing =
+      telemetry && tracing ? &reg.sketch("fleet/pacing_error_us/wire")
+                           : nullptr;
+
+  // Per-flow extraction and registry fold, one walk in flows[] order:
+  // demux finish, hash digest, fill_result, per-flow trace and ledgers.
+  std::vector<double> goodputs(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const RunResult& flow_result = result.flows[i];
+    RunResult& flow_result = result.flows[i];
+    net.host(i).endpoint().fill_result(flow_result);
+    metrics::CaptureAnalysis analysis = demux.finish(i);
+    flow_result.gaps = std::move(analysis.gaps);
+    flow_result.trains = std::move(analysis.trains);
+    flow_result.precision = std::move(analysis.precision);
+    flow_result.wire_data_packets = analysis.wire_data_packets;
+    flow_result.wire_hash = hashers[i].digest();
+    flow_result.dropped_packets =
+        net.path().bottleneck_drops(net.host(i).flow_id());
+    if (captures[i] != nullptr) {
+      flow_result.capture = std::move(captures[i]);
+    }
+    goodputs[i] = flow_result.goodput.goodput.mbps();
+
     const std::string flow_prefix =
         "flow" + std::to_string(net.host(i).flow_id()) + "/";
     reg.set_gauge(flow_prefix + "bottleneck_drops",
@@ -453,25 +399,27 @@ MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
                     flow_result.pacer_releases);
     reg.add_counter(flow_prefix + "pacer_deferrals",
                     flow_result.pacer_deferrals);
-    if (flow_result.trace != nullptr) {
-      obs::TraceSummary summary = obs::summarize_trace(*flow_result.trace);
-      reg.set_gauge(flow_prefix + "complete_chains", summary.complete_chains);
-      for (obs::StageErrorReport& se : summary.errors) {
-        reg.sketch(flow_prefix + "pacing_error/" + obs::to_string(se.stage)) =
-            std::move(se.error_us);
+    if (flow_traces[i] == nullptr) continue;
+    if (n > 1) flow_traces[i]->components = all_spans.components;
+    if (fleet_pacing != nullptr) {
+      for (const obs::SpanEvent& ev : flow_traces[i]->events) {
+        if (ev.stage == obs::TraceStage::kWire && ev.intended.ns() != 0) {
+          fleet_pacing->observe((ev.at - ev.intended).us());
+        }
       }
     }
-  }
-  if (telemetry) {
-    // Fleet tails. Merging the preassigned per-flow slots in flows[]
-    // index order keeps the registry output byte-identical at any shard
-    // plan (bucket adds commute, but min/max/count do too only because
-    // merge is elementwise — the fixed order costs nothing and removes
-    // the question).
-    if (tracing) {
-      obs::QuantileSketch& pacing = reg.sketch("fleet/pacing_error_us/wire");
-      for (const obs::QuantileSketch& sk : flow_sketches) pacing.merge(sk);
+    flow_result.trace = std::move(flow_traces[i]);
+    obs::TraceSummary summary = obs::summarize_trace(*flow_result.trace);
+    reg.set_gauge(flow_prefix + "complete_chains", summary.complete_chains);
+    for (obs::StageErrorReport& se : summary.errors) {
+      reg.sketch(flow_prefix + "pacing_error/" + obs::to_string(se.stage)) =
+          std::move(se.error_us);
     }
+  }
+  result.fairness = jain_index(goodputs);
+  result.bottleneck_drops = net.path().bottleneck_drops();
+
+  if (telemetry) {
     obs::QuantileSketch& fct = reg.sketch("fleet/fct_us");
     for (const RunResult& flow_result : result.flows) {
       if (flow_result.completed) {

@@ -20,8 +20,8 @@
 
 #include "framework/endpoint.hpp"
 #include "framework/experiment.hpp"
-#include "framework/flow_slab.hpp"
 #include "framework/network.hpp"
+#include "kernel/os_model.hpp"
 #include "obs/flow_sampler.hpp"
 #include "obs/health_report.hpp"
 #include "obs/metrics_registry.hpp"
@@ -56,7 +56,7 @@ struct MultiFlowConfig {
   /// Deterministic 1-in-N flow sampling for the trace spine (<=1 = trace
   /// every flow whose config opted in). Whether a flow is sampled is a
   /// pure function of (seed, flow id) — obs::FlowSampler — so serial and
-  /// sharded runs trace identical subsets. Unsampled flows keep a null
+  /// parallel runs trace identical subsets. Unsampled flows keep a null
   /// bus on their sender components and are filtered at the shared-path
   /// publish, bounding span memory at fabric scale.
   std::uint32_t trace_sample = 0;
@@ -90,14 +90,13 @@ struct MultiFlowResult {
   /// "fleet/pacing_error_us/wire" and "fleet/fct_us".
   obs::MetricsRegistry metrics;
   /// Windowed fleet telemetry when MultiFlowConfig::telemetry_window is
-  /// set; null otherwise. Byte-identical between run_flows and
-  /// run_flows_sharded (the feeding tap runs in the serial event core).
+  /// set; null otherwise.
   std::shared_ptr<const obs::TimeSeries> timeseries;
 };
 
 /// One sender host: kernel egress chain + endpoint, attached to the shared
-/// path under `flow_id`. The host's OsModel lives on the flow slab's kernel
-/// lane (same slot), not inside the host — `os` must outlive it.
+/// path under `flow_id`. The host's OsModel lives beside it in the
+/// Network, not inside the host — `os` must outlive it.
 class SenderHost {
  public:
   SenderHost(sim::EventLoop& loop, const FlowSpec& spec,
@@ -128,8 +127,7 @@ class SenderHost {
   kernel::OsModel& os_;
   SenderPath path_;
   // The endpoint stays behind one pointer: it is the polymorphic seam
-  // (QUIC stack / ideal server / TCP baseline share no layout). Everything
-  // monomorphic about a flow lives flat on the slab lanes.
+  // (QUIC stack / ideal server / TCP baseline share no layout).
   std::unique_ptr<FlowEndpoint> endpoint_;
 };
 
@@ -151,8 +149,8 @@ class Network {
   sim::Time deadline() const { return deadline_; }
 
   BottleneckPath& path() { return *path_; }
-  std::size_t flow_count() const { return handles_.size(); }
-  SenderHost& host(std::size_t i) { return hosts_.record(handles_[i]); }
+  std::size_t flow_count() const { return hosts_.size(); }
+  SenderHost& host(std::size_t i) { return hosts_[i]; }
 
   /// Per-component counters / conservation stages across all hosts plus
   /// the shared path. Single-host networks name per-sender stages without
@@ -171,14 +169,13 @@ class Network {
 
  private:
   sim::EventLoop& loop_;
-  // path_ before hosts_: hosts are destroyed first (their NICs point into
-  // the path, their endpoints into the slab's OS lane).
+  // One OS model and one host per flow, in flows[] order, reserved to the
+  // flow count so no element moves (the path borrows oses_[0], each host
+  // its own OS model and the path). Hosts are destroyed first, then the
+  // path, then the OS models both of them borrow.
+  std::vector<kernel::OsModel> oses_;
   std::unique_ptr<BottleneckPath> path_;
-  // Per-flow state lives flat on the slab (OS lane + host lane, one slot
-  // per flow) instead of N heap objects; handles_ maps flows[] order to
-  // generation-checked slots.
-  FlowStateSlab<SenderHost> hosts_;
-  std::vector<FlowStateSlab<SenderHost>::Handle> handles_;
+  std::vector<SenderHost> hosts_;
   sim::Time deadline_;
 };
 
@@ -190,30 +187,10 @@ double jain_index(const std::vector<double>& xs);
 sim::Duration flows_deadline(const MultiFlowConfig& config);
 
 /// Runs N competing flows to completion (or deadline) and extracts every
-/// per-flow metric from the shared tap in one pass.
+/// per-flow metric from the shared tap in one pass. The flows share one
+/// bottleneck, so the run is one serial simulation; ParallelRunner's
+/// run_flow_sets runs independent fabrics side by side.
 MultiFlowResult run_flows(const MultiFlowConfig& config);
-
-/// Shard plan for the per-flow phases of a multi-flow run. The event-loop
-/// core is one serial discrete-event simulation either way (the flows
-/// share a bottleneck — their packets interleave in one timeline); what
-/// shards is the embarrassingly parallel per-flow work around it: the
-/// post-run extraction of each flow's reports, hash, capture, and trace
-/// from the shared tap state. Every shard writes preassigned per-flow
-/// slots and the merge reads them back in flows[] order, so a sharded run
-/// is bit-identical to the serial one at any shard size and job count
-/// (tests/flows_test.cpp pins this at N=1000).
-struct ShardPlan {
-  /// Flows per shard (0 = everything in one shard).
-  std::size_t shard_size = 256;
-  /// Worker threads for the sharded phases (<=1 = serial).
-  int jobs = 1;
-};
-
-/// run_flows with the per-flow extraction phase split into deterministic,
-/// merge-stable shards. ParallelRunner::run_flow_shards is the pooled
-/// entry point.
-MultiFlowResult run_flows_sharded(const MultiFlowConfig& config,
-                                  const ShardPlan& shards);
 
 /// Builds the deterministic run health report (obs::HealthReport) from a
 /// finished fleet run: stall/spike/drop-burst detection over the

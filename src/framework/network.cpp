@@ -12,6 +12,15 @@
 
 namespace quicsteps::framework {
 
+namespace {
+
+/// netem queue sized to two BDPs so it never drops (paper Section 3.2).
+constexpr std::int64_t kNetemLimitPackets = 100000;
+/// Receive buffer of both UDP receivers (client data, server ACKs).
+constexpr std::int64_t kRcvbufBytes = 50 * 1024 * 1024;
+
+}  // namespace
+
 SenderPath::SenderPath(sim::EventLoop& loop, const TopologyConfig& config,
                        kernel::OsModel& os, kernel::TxWire& wire) {
   kernel::Nic::Config nic_cfg;
@@ -52,15 +61,14 @@ void SenderPath::set_trace(obs::TraceBus& bus, const std::string& prefix) {
 BottleneckPath::BottleneckPath(sim::EventLoop& loop,
                                const TopologyConfig& config, sim::Rng& rng,
                                kernel::OsModel& server_recv_os)
-    : client_os_(config.client_os, rng.fork(2)),
+    : client_os_(kernel::OsTimingConfig{}, rng.fork(2)),
       client_receiver_(std::make_unique<kernel::UdpReceiver>(
-          loop, slab_, client_os_, config.client_rcvbuf_bytes,
+          loop, slab_, client_os_, kRcvbufBytes,
           [this](net::Packet pkt) { data_dispatch_.deliver(std::move(pkt)); },
           config.client_gro_window)),
       data_netem_(loop, slab_,
                   {.delay = config.path_delay_one_way,
-                   .jitter = config.path_jitter,
-                   .limit_packets = config.netem_limit_packets,
+                   .limit_packets = kNetemLimitPackets,
                    .loss_probability = config.path_loss_probability,
                    .reorder_probability = config.path_reorder_probability},
                   rng.fork(3), client_receiver_.get()),
@@ -72,11 +80,11 @@ BottleneckPath::BottleneckPath(sim::EventLoop& loop,
       tap_(std::make_unique<net::WireTap>(loop, &bottleneck_)),
       nic_wire_(loop, slab_, *tap_),
       server_receiver_(std::make_unique<kernel::UdpReceiver>(
-          loop, slab_, server_recv_os, config.client_rcvbuf_bytes,
+          loop, slab_, server_recv_os, kRcvbufBytes,
           [this](net::Packet pkt) { ack_dispatch_.deliver(std::move(pkt)); })),
       ack_netem_(loop, slab_,
                  {.delay = config.path_delay_one_way,
-                  .limit_packets = config.netem_limit_packets},
+                  .limit_packets = kNetemLimitPackets},
                  rng.fork(4), server_receiver_.get()) {
   bottleneck_.set_drop_observer([this](const net::Packet& pkt) {
     const std::size_t slot = drop_slot(pkt.flow);

@@ -1,13 +1,66 @@
 #include "framework/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <functional>
+#include <mutex>
 #include <thread>
-#include <utility>
+#include <vector>
 
-#include "framework/parallel_for.hpp"
 #include "framework/runner.hpp"
 
 namespace quicsteps::framework {
+
+namespace {
+
+/// Runs body(0..n-1), each index exactly once, across `jobs` workers
+/// pulling indices from one atomic counter; inline on the caller thread
+/// when one worker (or one task) suffices. Bodies write only slots
+/// preassigned to their index (results[i]), so writes are disjoint by
+/// construction and the join publishes them. The first exception thrown
+/// by any body is rethrown on the caller. CI's TSan job runs both call
+/// sites, run_grid and run_flow_sets.
+void parallel_for(std::size_t n, int jobs,
+                  const std::function<void(std::size_t)>& body) {
+  const std::size_t workers =
+      std::min<std::size_t>(static_cast<std::size_t>(std::max(jobs, 0)), n);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;
+  std::mutex error_mutex;
+
+  auto worker = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n || failed.load(std::memory_order_relaxed)) return;
+      try {
+        body(i);
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (error == nullptr) error = std::current_exception();
+        }
+        failed.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+  };
+
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(worker);
+  worker();
+  for (auto& t : pool) t.join();
+  if (error != nullptr) std::rethrow_exception(error);
+}
+
+}  // namespace
 
 int env_jobs(int fallback) {
   return static_cast<int>(
@@ -59,14 +112,6 @@ std::vector<MultiFlowResult> ParallelRunner::run_flow_sets(
   parallel_for(configs.size(), jobs_,
                [&](std::size_t i) { results[i] = run_flows(configs[i]); });
   return results;
-}
-
-MultiFlowResult ParallelRunner::run_flow_shards(const MultiFlowConfig& config,
-                                                std::size_t shard_size) const {
-  ShardPlan plan;
-  if (shard_size > 0) plan.shard_size = shard_size;
-  plan.jobs = jobs_;
-  return run_flows_sharded(config, plan);
 }
 
 }  // namespace quicsteps::framework

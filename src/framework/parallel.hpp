@@ -47,14 +47,6 @@ class ParallelRunner {
   std::vector<MultiFlowResult> run_flow_sets(
       const std::vector<MultiFlowConfig>& configs) const;
 
-  /// ONE fabric, large N: the event core stays a single serial simulation
-  /// (the flows share a bottleneck), while the per-flow extraction phase
-  /// is split into deterministic shards of `shard_size` flows (0 = the
-  /// ShardPlan default) fanned across this runner's pool. Bit-identical to
-  /// run_flows at any shard size and job count.
-  MultiFlowResult run_flow_shards(const MultiFlowConfig& config,
-                                  std::size_t shard_size = 0) const;
-
  private:
   int jobs_;
 };

@@ -1,4 +1,5 @@
-// netem model: constant delay (optional jitter) with a packet-count limit.
+// netem model: constant delay with a packet-count limit, plus optional
+// random loss and reordering.
 //
 // Used twice in the measurement topology, 20 ms in each direction, to build
 // the 40 ms minimum RTT. Following the paper's setup, its buffer is sized
@@ -18,7 +19,6 @@ class NetemQdisc final : public Qdisc {
  public:
   struct Config {
     sim::Duration delay = sim::Duration::millis(20);
-    sim::Duration jitter = sim::Duration::zero();
     std::int64_t limit_packets = 100000;
     /// Random independent loss probability (tc netem `loss`).
     double loss_probability = 0.0;
@@ -54,16 +54,12 @@ class NetemQdisc final : public Qdisc {
     }
     ++in_flight_;
     sim::Duration d = config_.delay;
-    if (config_.jitter > sim::Duration::zero()) {
-      d = rng_.normal_duration(config_.delay, config_.jitter,
-                               sim::Duration::zero());
-    }
     if (rng_.chance(config_.reorder_probability)) {
       d = sim::max(d - config_.reorder_gap, sim::Duration::zero());
       ++reordered_;
     }
-    // Refs are payload-addressed, so jitter and reorder deliveries
-    // surfacing out of arrival order need no extra bookkeeping.
+    // Refs are payload-addressed, so reordered deliveries surfacing out
+    // of arrival order need no extra bookkeeping.
     loop_.post_drain_at(loop_.now() + d, delay_channel_,
                         slab_.put(std::move(pkt)));
   }

@@ -10,8 +10,8 @@
 // Determinism: whether a flow is sampled is a pure function of
 // (seed, flow id) — a splitmix64-style avalanche over the pair, reduced
 // mod N. No run state, no iteration order, no RNG stream consumed: the
-// same config samples the same flows in serial, parallel, and sharded
-// runs, and adding flows never changes the verdict for existing ids
+// same config samples the same flows in serial and parallel runs, and
+// adding flows never changes the verdict for existing ids
 // (unlike `index % N == 0`, which reshuffles under insertion).
 #pragma once
 

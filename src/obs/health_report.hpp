@@ -5,8 +5,8 @@
 // points at the windows where it went wrong. The report is derived
 // entirely from already-deterministic inputs (the TimeSeries ring, the
 // fleet quantile sketches, the counters table), so its JSON is
-// byte-identical between serial and sharded runs of one config — a
-// golden-testable artifact, not a log.
+// byte-identical between runs of one config — a golden-testable
+// artifact, not a log.
 //
 // Detectors:
 //   * stalls        — maximal runs of windows with neither wire activity

@@ -5,22 +5,6 @@
 
 namespace quicsteps::obs {
 
-void QuantileSketch::merge(const QuantileSketch& other) {
-  if (other.count_ == 0) return;
-  if (other.pos_.size() > pos_.size()) pos_.resize(other.pos_.size(), 0);
-  if (other.neg_.size() > neg_.size()) neg_.resize(other.neg_.size(), 0);
-  for (std::size_t i = 0; i < other.pos_.size(); ++i) {
-    pos_[i] += other.pos_[i];
-  }
-  for (std::size_t i = 0; i < other.neg_.size(); ++i) {
-    neg_[i] += other.neg_[i];
-  }
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (count_ == 0 || other.max_ > max_) max_ = other.max_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 std::int64_t QuantileSketch::bucket_upper_edge(std::size_t index) {
   if (index < static_cast<std::size_t>(2 * kSubBuckets)) {
     return static_cast<std::int64_t>(index);

@@ -13,10 +13,8 @@
 // and sum() are exact integers, so a mean derived from them is exact
 // too, whatever the bucketing.
 //
-// Determinism and merging: buckets hold integer counts, so merging is an
-// elementwise add — commutative and associative — and a sketch merged
-// from per-flow shards is bit-identical to one built serially, in any
-// merge order. quantile() walks buckets from the most negative magnitude
+// Determinism: buckets, count, sum, min and max are integers, so a sketch
+// is a pure function of the values it observed, in any order. quantile() walks buckets from the most negative magnitude
 // upward and returns the bucket's inclusive upper edge, a pure function
 // of the counts. No floats touch the state; doubles appear only in the
 // final rank arithmetic, identically on every platform we build for.
@@ -48,9 +46,6 @@ class QuantileSketch {
       bump(pos_, bucket_index(static_cast<std::uint64_t>(value)));
     }
   }
-
-  /// Elementwise-add merge; the result is independent of merge order.
-  void merge(const QuantileSketch& other);
 
   std::int64_t count() const { return count_; }
   std::int64_t sum() const { return sum_; }

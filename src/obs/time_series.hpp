@@ -5,7 +5,7 @@
 // drop rate, and per-stage pacing error, so a rate collapse or a
 // mid-run stall is visible as *when*, not just a skewed total. The
 // engine is fed from the wire-tap packet callback (the serial event
-// core, so serial and sharded runs see byte-identical series) plus a
+// core, so runs of one config see byte-identical series) plus a
 // counter snapshot taken every time a window closes; per-stage pacing
 // errors are folded in post-run from the trace spine's span stream.
 //

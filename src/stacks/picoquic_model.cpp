@@ -23,7 +23,6 @@ StackProfile picoquic_profile(const ProfileOptions& options) {
   p.pacer.kind = pacing::PacerKind::kLeakyBucket;
   p.pacing_rate_factor = 1.25;
   p.pass_txtime = false;
-  p.app_waits_for_pacer = true;
 
   if (options.cca == cc::CcAlgorithm::kBbr) {
     // Rate-driven loop: precise waits, shallow bucket, short iterations.

@@ -25,7 +25,6 @@ StackProfile quiche_profile(const ProfileOptions& options) {
   p.pacer.kind = pacing::PacerKind::kInterval;
   p.pacing_rate_factor = 1.25;
   p.pass_txtime = true;
-  p.app_waits_for_pacer = false;
   p.txtime_headroom = options.txtime_headroom;
 
   // tokio/mio loop: send decisions happen per loop iteration; arriving

@@ -34,11 +34,9 @@ struct StackProfile {
   /// Headroom factor on cwnd/srtt (all stacks compute the rate this way).
   double pacing_rate_factor = 1.25;
   /// quiche: compute per-packet txtimes and hand them to the kernel via
-  /// SO_TXTIME instead of waiting in user space.
+  /// SO_TXTIME, sending as soon as cwnd allows. false (ngtcp2/picoquic):
+  /// the application sleeps until the pacer's release time.
   bool pass_txtime = false;
-  /// ngtcp2/picoquic: the application sleeps until the pacer's release
-  /// time. false (quiche): send as soon as cwnd allows.
-  bool app_waits_for_pacer = true;
   /// Packets released per pacer expiry when waiting (ngtcp2's example
   /// writes small batches per timer fire).
   int pacing_burst_packets = 1;

@@ -21,7 +21,6 @@ using sim::Time;
 TEST(Profiles, QuicheUsesTxtimeAndInterval) {
   auto p = quiche_profile({});
   EXPECT_TRUE(p.pass_txtime);
-  EXPECT_FALSE(p.app_waits_for_pacer);
   EXPECT_EQ(p.pacer.kind, pacing::PacerKind::kInterval);
   EXPECT_TRUE(p.cc.spurious_loss_rollback);
 }
@@ -35,7 +34,7 @@ TEST(Profiles, SfPatchDisablesRollback) {
 TEST(Profiles, PicoquicUsesLeakyBucket) {
   auto p = picoquic_profile({});
   EXPECT_EQ(p.pacer.kind, pacing::PacerKind::kLeakyBucket);
-  EXPECT_TRUE(p.app_waits_for_pacer);
+  EXPECT_FALSE(p.pass_txtime);
   // Loss-based: deep bucket (the 16-17 packet train cap).
   EXPECT_EQ(p.pacer.bucket_depth_bytes, 16 * 1500);
   EXPECT_GT(p.loop_busy_cycle, Duration::zero());
@@ -51,7 +50,6 @@ TEST(Profiles, PicoquicBbrUsesShallowBucketAndFineTimers) {
 TEST(Profiles, Ngtcp2IsStrictAndFlowControlled) {
   auto p = ngtcp2_profile({});
   EXPECT_FALSE(p.pass_txtime);
-  EXPECT_TRUE(p.app_waits_for_pacer);
   EXPECT_DOUBLE_EQ(p.pacing_rate_factor, 1.0);
   EXPECT_TRUE(p.cc.require_cwnd_limited_growth);
   EXPECT_GT(p.flow_control_credit, 0);

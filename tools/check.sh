@@ -9,7 +9,8 @@
 #   2. ASan + UBSan build             -> ctest -L tier1-asan
 #   3. TSan build                     -> ctest -L tier1-tsan (tier-1 plus
 #                                        the framework suites, which reach
-#                                        every parallel_for call site)
+#                                        both parallel_for call sites:
+#                                        run_grid and run_flow_sets)
 #   4. static analysis                -> quicsteps-analyze over src/ AND
 #                                        its own sources (self-hosting):
 #                                        layering / units / determinism /

@@ -10,7 +10,10 @@
 //   --qdisc     fifo | fq_codel | fq | etf | etf-lt
 //   --gso       off | on | paced          --gso-segments N
 //   --sendmmsg                            (batch sends, GSO off)
-//   --payload-mib N   --reps N   --seed N   --jobs N
+//   --payload-mib N   --reps N   --seed N
+//   --jobs N          worker threads for the repetitions, 0..1024 (0 =
+//                     QUICSTEPS_JOBS, then hardware concurrency); a fleet
+//                     run is one serial simulation and ignores it
 //   --rate-mbit N     --rtt-ms N --buffer-kb N
 //   --loss P          --reorder P          --gro-us N
 //   --csv PREFIX      (PREFIX_summary.csv, PREFIX_gaps.<rep>.csv,
@@ -22,8 +25,8 @@
 //                     JSONL) and DIR/path.<rep>.csv per repetition
 //
 // Numeric values are checked: a malformed or out-of-range number (e.g.
-// --payload-mib abc, --rate-mbit 0, --rtt-ms -5, --loss 2) exits with a
-// usage error.
+// --payload-mib abc, --rate-mbit 0, --rtt-ms -5, --loss 2, --jobs 1025)
+// exits with a usage error.
 //
 // Fleet mode (--flows N with N >= 2) runs one N-flow fabric over a shared
 // bottleneck instead of repetitions of a single flow:
@@ -95,7 +98,7 @@ kernel::GsoMode parse_gso(const std::string& value) {
 
 /// Fleet mode: one N-flow fabric, telemetry, health report. Returns the
 /// process exit code.
-int run_fleet(const framework::ExperimentConfig& base, int flows, int jobs,
+int run_fleet(const framework::ExperimentConfig& base, int flows,
               std::uint32_t trace_sample, std::int64_t window_ms,
               const std::string& timeseries_csv,
               const std::string& health_path, bool health_exit) {
@@ -113,8 +116,7 @@ int run_fleet(const framework::ExperimentConfig& base, int flows, int jobs,
                                                                  : 10);
   }
 
-  framework::MultiFlowResult result =
-      framework::ParallelRunner(jobs).run_flow_shards(fleet);
+  framework::MultiFlowResult result = framework::run_flows(fleet);
 
   std::int64_t completed = 0;
   for (const auto& flow : result.flows) completed += flow.completed ? 1 : 0;
@@ -215,7 +217,7 @@ int main(int argc, char** argv) {
       config.seed = next_number(i, std::uint64_t{0},
                                 std::numeric_limits<std::uint64_t>::max());
     } else if (flag == "--jobs") {
-      jobs = next_number(i, std::numeric_limits<int>::min(), kMaxInt);
+      jobs = next_number(i, 0, 1024);
     } else if (flag == "--rate-mbit") {
       config.topology.bottleneck_rate = net::DataRate::megabits_per_second(
           next_number(i, std::int64_t{1}, kMaxI64 / 1'000'000));
@@ -274,7 +276,7 @@ int main(int argc, char** argv) {
   if (!qlog_dir.empty()) config.trace = true;  // --qlog-dir implies --trace
 
   if (flows > 1) {
-    return run_fleet(config, flows, jobs, trace_sample, window_ms,
+    return run_fleet(config, flows, trace_sample, window_ms,
                      timeseries_csv, health_path, health_exit);
   }
 
